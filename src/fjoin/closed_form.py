@@ -235,7 +235,15 @@ class CaseResult:
 
     @property
     def verified(self) -> bool:
-        return not self.mismatches
+        """At least one grid point was checked and none disagreed."""
+        return self.points > 0 and not self.mismatches
+
+    @property
+    def verdict(self) -> str:
+        """``empty`` when the grid holds no point, so nothing backs a verdict."""
+        if not self.points:
+            return "empty"
+        return "verified" if self.verified else "mismatch"
 
     def as_dict(self) -> dict:
         return {
@@ -248,7 +256,7 @@ class CaseResult:
             "n_min": self.case.n_min,
             "m_min": self.case.m_min,
             "points": self.points,
-            "verdict": "verified" if self.verified else "mismatch",
+            "verdict": self.verdict,
             "mismatches": [
                 {
                     "n": miss.n,
@@ -269,7 +277,7 @@ class AuditReport:
 
     @property
     def mismatched_cases(self) -> tuple[CaseResult, ...]:
-        return tuple(result for result in self.results if not result.verified)
+        return tuple(result for result in self.results if result.mismatches)
 
     def as_dict(self) -> dict:
         return {

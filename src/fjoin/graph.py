@@ -8,9 +8,10 @@ graphs with the same vertex count and edge set compare equal structurally.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from itertools import islice, starmap
+from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
 FAMILIES = ("path", "cycle", "complete", "star")
@@ -50,6 +51,31 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {self.n}")
+        if not self._edges_look_canonical():
+            self._check_edges()
+        # Handshake identity, recomputed independently of the checks above.
+        assert sum(degrees(self)) == 2 * len(self.edges)
+
+    def _edges_look_canonical(self) -> bool:
+        """The checks of :meth:`_check_edges` at builtin speed.
+
+        Each pair ascends, the tuple strictly ascends (so no duplicates),
+        the first endpoint is nonnegative and the largest second endpoint is
+        below ``n``. False, never an exception, when any check fails or
+        cannot be made; the caller then finds the fault the slow way.
+        """
+        edges = self.edges
+        try:
+            return (
+                all(starmap(lt, edges))
+                and all(map(lt, edges, islice(edges, 1, None)))
+                and (not edges or (edges[0][0] >= 0 and max(map(itemgetter(1), edges)) < self.n))
+            )
+        except Exception:  # any failure at all is left to _check_edges to report
+            return False
+
+    def _check_edges(self) -> None:
+        """Walk the edges one at a time and raise on the first fault found."""
         previous = None
         seen: set[tuple[int, int]] = set()
         for u, v in self.edges:
@@ -65,8 +91,6 @@ class Graph:
             if previous is not None and previous > (u, v):
                 raise GraphError("edge tuple is not sorted")
             previous = (u, v)
-        # Handshake identity, recomputed independently of the checks above.
-        assert sum(degrees(self)) == 2 * len(self.edges)
 
     @property
     def m(self) -> int:
@@ -78,13 +102,23 @@ class Graph:
         canonical = sorted((u, v) if u <= v else (v, u) for u, v in edges)
         return cls(n, tuple(canonical))
 
+    @cached_property
+    def degree_vector(self) -> tuple[int, ...]:
+        """Per-vertex degrees, indexed by vertex id, counted once per graph.
+
+        Cached on the instance, outside the dataclass fields, so it takes no
+        part in equality, hashing or ``repr``.
+        """
+        out = [0] * self.n
+        for u, v in self.edges:
+            out[u] += 1
+            out[v] += 1
+        return tuple(out)
+
 
 def degrees(graph: Graph) -> list[int]:
-    """Per-vertex degree list, indexed by vertex id."""
-    out = [0] * graph.n
-    for vertex, count in Counter(chain.from_iterable(graph.edges)).items():
-        out[vertex] = count
-    return out
+    """Per-vertex degree list, indexed by vertex id; a fresh list each call."""
+    return list(graph.degree_vector)
 
 
 def generate(family: str, n: int) -> Graph:
@@ -159,6 +193,7 @@ def parse_edge_list(text: str | bytes) -> Graph:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     header: tuple[int, int] | None = None
+    header_line = 0
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     lineno = 0
@@ -177,6 +212,7 @@ def parse_edge_list(text: str | bytes) -> Graph:
             if a < 0 or b < 0:
                 raise ParseError(lineno, f"negative count in header {line!r}")
             header = (a, b)
+            header_line = lineno
             continue
         n, m = header
         if len(edges) == m:
@@ -194,7 +230,16 @@ def parse_edge_list(text: str | bytes) -> Graph:
         raise ParseError(max(lineno, 1), "missing 'n m' header line")
     if len(edges) != header[1]:
         raise ParseError(lineno + 1, f"declared {header[1]} edges, found {len(edges)}")
-    return Graph.from_edges(header[0], edges)
+    try:
+        graph = Graph.from_edges(header[0], edges)
+        # Count degrees now, even under -O where the handshake assert does
+        # not, so that a vertex count too large to allocate fails here.
+        graph.degree_vector
+    except MemoryError:
+        raise ParseError(
+            header_line, f"vertex count {header[0]} is too large to allocate"
+        ) from None
+    return graph
 
 
 def render_edge_list(graph: Graph) -> str:

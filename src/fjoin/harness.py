@@ -29,6 +29,11 @@ _FAMILY_FLOORS = {"path": 1, "cycle": 3, "complete": 1, "star": 2}
 DEFAULT_EDGE_BUDGET = 3_000_000
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass but not one here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CorpusConfig:
     """What the verification corpus contains.
@@ -90,10 +95,18 @@ class CorpusConfig:
             if key not in known:
                 raise GraphError(f"unknown corpus config key {key!r}")
             if key in FAMILIES:
-                low, high = value
-                kwargs[known[key]] = (int(low), int(high))
+                if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))):
+                    raise GraphError(
+                        f"corpus config {key!r} must be a [low, high] pair of integers, "
+                        f"got {json.dumps(value)}"
+                    )
+                kwargs[known[key]] = tuple(value)
             else:
-                kwargs[known[key]] = int(value)
+                if not _is_int(value):
+                    raise GraphError(
+                        f"corpus config {key!r} must be an integer, got {json.dumps(value)}"
+                    )
+                kwargs[known[key]] = value
         return cls(**kwargs)
 
     @classmethod
@@ -271,6 +284,8 @@ def bench_compare(
     density = Fraction(density)
     if not 0 <= density <= 1:
         raise GraphError(f"density must be in [0, 1], got {density}")
+    if edge_budget < 0:
+        raise GraphError(f"edge budget must be nonnegative, got {edge_budget}")
     m1 = int(density * (n1 * (n1 - 1) // 2))
     m2 = int(density * (n2 * (n2 - 1) // 2))
     rng = random.Random(seed)

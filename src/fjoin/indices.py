@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import chain
 
-from .graph import Graph, GraphError, degrees
+from .graph import Graph, GraphError
 
 # Degree-power sums are only meaningful here up to the fourth power; the cap
 # just guards against runaway exponents from bad call sites.
@@ -44,7 +45,7 @@ def power_sum(graph: Graph, a: int) -> int:
     """Sum of ``deg(v) ** a`` over vertices."""
     if not 1 <= a <= MAX_POWER:
         raise GraphError(f"power must be in [1, {MAX_POWER}], got {a}")
-    return sum(d**a for d in degrees(graph))
+    return sum(d**a for d in graph.degree_vector)
 
 
 def power_sum_edge_form(graph: Graph, a: int) -> int:
@@ -55,39 +56,39 @@ def power_sum_edge_form(graph: Graph, a: int) -> int:
     """
     if not 1 <= a <= MAX_POWER:
         raise GraphError(f"power must be in [1, {MAX_POWER}], got {a}")
-    deg = degrees(graph)
-    return sum(deg[u] ** (a - 1) + deg[v] ** (a - 1) for u, v in graph.edges)
+    powered = [d ** (a - 1) for d in graph.degree_vector]
+    return sum(map(powered.__getitem__, chain.from_iterable(graph.edges)))
 
 
 def first_zagreb(graph: Graph) -> int:
     """Sum of squared degrees."""
-    value = sum(d * d for d in degrees(graph))
+    value = sum(d * d for d in graph.degree_vector)
     assert value == power_sum_edge_form(graph, 2)
     return value
 
 
 def second_zagreb(graph: Graph) -> int:
     """Sum of ``deg(u) * deg(v)`` over edges."""
-    deg = degrees(graph)
+    deg = graph.degree_vector
     return sum(deg[u] * deg[v] for u, v in graph.edges)
 
 
 def f_index(graph: Graph) -> int:
     """Sum of cubed degrees (the forgotten index)."""
-    value = sum(d**3 for d in degrees(graph))
+    value = sum(d**3 for d in graph.degree_vector)
     assert value == power_sum_edge_form(graph, 3)
     return value
 
 
 def hyper_zagreb(graph: Graph) -> int:
     """Sum of ``(deg(u) + deg(v)) ** 2`` over edges."""
-    deg = degrees(graph)
+    deg = graph.degree_vector
     return sum((deg[u] + deg[v]) ** 2 for u, v in graph.edges)
 
 
 def rezm(graph: Graph) -> int:
     """Sum of ``deg(u) * deg(v) * (deg(u) + deg(v))`` over edges."""
-    deg = degrees(graph)
+    deg = graph.degree_vector
     return sum(deg[u] * deg[v] * (deg[u] + deg[v]) for u, v in graph.edges)
 
 
@@ -100,27 +101,28 @@ def general_first_zagreb(graph: Graph, a: int) -> int:
 
 
 def invariants(graph: Graph) -> GraphInvariants:
-    """Compute the full invariant bundle in one pass over degrees plus one
-    pass over edges.
+    """Compute the full invariant bundle in one pass over the degree
+    distribution plus one pass over edges.
 
-    The inner sums run over the degree distribution and the multiset of
-    endpoint-degree pairs rather than raw vertices and edges; on large dense
-    graphs that keeps the Python-level loop short.
+    The vertex sums run over the degree distribution rather than raw
+    vertices. The edge pass accumulates M2 and ReZM; HM follows from the
+    identity HM = F + 2 * M2, since each edge (u, v) adds
+    deg(u)^2 + deg(v)^2 to F and 2 * deg(u) * deg(v) to 2 * M2.
     """
-    deg = degrees(graph)
+    deg = graph.degree_vector
     m1 = f = m4 = 0
     for d, count in Counter(deg).items():
         d2 = d * d
         m1 += count * d2
         f += count * d2 * d
         m4 += count * d2 * d2
-    m2 = hm = rezm_value = 0
-    for (du, dv), count in Counter((deg[u], deg[v]) for u, v in graph.edges).items():
+    m2 = rezm_value = 0
+    for u, v in graph.edges:
+        du = deg[u]
+        dv = deg[v]
         product = du * dv
-        total = du + dv
-        m2 += count * product
-        hm += count * total * total
-        rezm_value += count * product * total
+        m2 += product
+        rezm_value += product * (du + dv)
     return GraphInvariants(
-        n=graph.n, m=graph.m, M1=m1, M2=m2, F=f, HM=hm, ReZM=rezm_value, M4=m4
+        n=graph.n, m=graph.m, M1=m1, M2=m2, F=f, HM=f + 2 * m2, ReZM=rezm_value, M4=m4
     )

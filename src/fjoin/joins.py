@@ -13,8 +13,11 @@ vertices in ``[n1, n1 + m1)``, right vertices in ``[n1 + m1, n1 + m1 + n2)``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, product
+from typing import Iterable
 
 from .derived import DerivedKind, ProvenancedGraph, VertexTag, derive
 from .graph import Graph, GraphError
@@ -52,13 +55,38 @@ ALL_SPECS: tuple[OperationSpec, ...] = tuple(
 )
 
 
+def _attach(left: Graph, anchors: Iterable[int], right: Graph) -> Graph:
+    """``left`` and ``right`` side by side, each anchor joined to every right
+    vertex; ``anchors`` must ascend.
+
+    The edges are emitted already in canonical order, so nothing is sorted:
+    each left vertex's own edges, then its cross edges (right ids all exceed
+    left ids), and after the whole left block the right factor's edges
+    shifted past it.
+    """
+    offset = left.n
+    right_ids = range(offset, offset + right.n)
+    edges = left.edges
+    pieces: list[Iterable[tuple[int, int]]] = []
+    start = 0
+    for a in anchors:
+        # (a + 1,) sorts after every (a, v) and before every (a + 1, v).
+        stop = bisect_left(edges, (a + 1,))
+        pieces.append(edges[start:stop])
+        # Built as its own small tuple: the final concatenation then creates
+        # no objects, so the cyclic collector never runs while the large
+        # composite tuple is young, and never re-traverses it.
+        pieces.append(tuple(product((a,), right_ids)))
+        start = stop
+    pieces.append(edges[start:])
+    shifted = map(offset.__add__, chain.from_iterable(right.edges))
+    pieces.append(zip(shifted, shifted))  # re-pairs the flattened endpoints
+    return Graph(offset + right.n, tuple(chain.from_iterable(pieces)))
+
+
 def join(g1: Graph, g2: Graph) -> ProvenancedGraph:
     """Plain join: both graphs side by side plus all cross edges."""
-    offset = g1.n
-    edges = list(g1.edges)
-    edges.extend((u + offset, v + offset) for u, v in g2.edges)
-    edges.extend((u, offset + w) for u in range(g1.n) for w in range(g2.n))
-    graph = Graph.from_edges(g1.n + g2.n, edges)
+    graph = _attach(g1, range(g1.n), g2)
     tags = (VertexTag.ORIGINAL_G1,) * g1.n + (VertexTag.ORIGINAL_G2,) * g2.n
     return ProvenancedGraph(graph, tags)
 
@@ -71,14 +99,10 @@ def f_join(spec: OperationSpec, g1: Graph, g2: Graph) -> ProvenancedGraph:
     inserted vertices.
     """
     base = derive(spec.kind, g1)
-    offset = base.graph.n
-    edges = list(base.graph.edges)
-    edges.extend((u + offset, v + offset) for u, v in g2.edges)
     if spec.mode is JoinMode.VERTEX:
         anchors = base.ids(VertexTag.ORIGINAL_G1)
     else:
         anchors = base.ids(VertexTag.INSERTED)
-    edges.extend((a, offset + w) for a in anchors for w in range(g2.n))
-    graph = Graph.from_edges(offset + g2.n, edges)
+    graph = _attach(base.graph, anchors, g2)
     tags = base.tags + (VertexTag.ORIGINAL_G2,) * g2.n
     return ProvenancedGraph(graph, tags, dict(base.origin_edge))

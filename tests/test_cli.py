@@ -144,6 +144,12 @@ class TestIndex:
         assert code == 1
         assert "line 2" in err
 
+    def test_unallocatable_vertex_count_exits_1(self, capsys, monkeypatch):
+        # 10^12 vertices fail at the allocation request itself.
+        code, out, err = run(capsys, ["index"], stdin="1000000000000 0\n", monkeypatch=monkeypatch)
+        assert code == 1
+        assert err == "fjoin: line 1: vertex count 1000000000000 is too large to allocate\n"
+
     def test_missing_file_exits_1(self, capsys):
         code, out, err = run(capsys, ["index", "--in", "/nonexistent/graph.txt"])
         assert code == 1
@@ -182,11 +188,23 @@ class TestVerify:
         assert code == 2
         assert "FJOIN_SEED" in err
 
-    def test_bad_config_is_usage_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param('{"paths": [1, 2]}', id="unknown-key"),
+            pytest.param('{"path": 5}', id="range-not-a-list"),
+            pytest.param('{"seed": null}', id="seed-null"),
+            pytest.param('{"seed": 1.7}', id="seed-float"),
+            pytest.param('{"seed": true}', id="seed-bool"),
+        ],
+    )
+    def test_bad_config_is_usage_error(self, capsys, tmp_path, config):
         path = tmp_path / "bad.json"
-        path.write_text('{"paths": [1, 2]}')
+        path.write_text(config)
         code, out, err = run(capsys, ["verify", "--config", str(path)])
         assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("fjoin: ")
 
 
 class TestAudit:
@@ -196,6 +214,13 @@ class TestAudit:
         payload = json.loads(out)
         assert payload["summary"]["cases"] == 32
         assert payload["summary"]["mismatched"] > 0
+
+    def test_empty_grid_verifies_nothing(self, capsys):
+        code, out, err = run(capsys, ["audit", "--n-max", "0", "--m-max", "0"])
+        assert code == 0
+        payload = json.loads(out)
+        assert {case["verdict"] for case in payload["cases"]} == {"empty"}
+        assert payload["summary"] == {"cases": 32, "verified": 0, "mismatched": 0}
 
 
 class TestBench:
@@ -224,6 +249,14 @@ class TestBench:
         )
         assert code == 2
         assert "density" in err
+
+    def test_negative_budget_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["bench", "--n1", "5", "--n2", "5", "--density", "1/2", "--edge-budget", "-1"],
+        )
+        assert code == 2
+        assert out == "" and "edge budget" in err
 
     def test_budget_skips_construction(self, capsys):
         code, out, err = run(

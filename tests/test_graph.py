@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fjoin import (
     Graph,
@@ -16,6 +17,37 @@ from fjoin import (
 )
 
 from conftest import graphs
+
+
+def reference_validate(n, edges):
+    """Graph validation as one plain loop: the reference the builtin checks
+    in ``Graph.__post_init__`` must agree with, exception and message alike."""
+    if n < 0:
+        raise GraphError(f"vertex count must be nonnegative, got {n}")
+    previous = None
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if u > v:
+            raise GraphError(f"edge ({u}, {v}) not in (min, max) order")
+        if not 0 <= u < n or not v < n:
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+        if (u, v) in seen:
+            raise GraphError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+        if previous is not None and previous > (u, v):
+            raise GraphError("edge tuple is not sorted")
+        previous = (u, v)
+
+
+_entries = st.integers(min_value=-2, max_value=7)
+_pairs = st.tuples(_entries, _entries)
+# Mostly pairs, some of the wrong arity.
+_edges = st.one_of(_pairs, _pairs, st.lists(_entries, max_size=3).map(tuple))
+_edge_tuples = st.lists(_edges, max_size=6).map(tuple)
+# Sorted and duplicate-free, so that many are accepted.
+_sorted_edge_tuples = st.sets(_pairs, max_size=6).map(sorted).map(tuple)
 
 
 class TestGraph:
@@ -59,6 +91,38 @@ class TestGraph:
     @given(graphs())
     def test_handshake(self, g):
         assert sum(degrees(g)) == 2 * g.m
+
+    @settings(max_examples=400)
+    @given(st.integers(min_value=0, max_value=6), st.one_of(_edge_tuples, _sorted_edge_tuples))
+    def test_validation_matches_reference_loop(self, n, edges):
+        try:
+            reference_validate(n, edges)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as excinfo:
+                Graph(n, edges)
+            assert str(excinfo.value) == str(exc)
+        else:
+            assert Graph(n, edges).edges == edges
+
+    def test_degrees_returns_a_fresh_list(self):
+        g = generate("star", 4)
+        first = degrees(g)
+        first[0] = 99
+        first.append(5)
+        assert degrees(g) == [3, 1, 1, 1]
+
+    def test_degree_cache_takes_no_part_in_identity(self):
+        counted = generate("path", 3)
+        assert counted.degree_vector == (1, 2, 1)
+        uncounted = generate("path", 3)
+        # As under -O, where no handshake assert has counted the degrees yet.
+        vars(uncounted).pop("degree_vector", None)
+        assert "degree_vector" not in vars(uncounted)
+        assert counted == uncounted
+        assert hash(counted) == hash(uncounted)
+        assert repr(counted) == repr(uncounted)
+        assert degrees(uncounted) == [1, 2, 1]
+
 
 
 class TestGenerate:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from fjoin import (
     ALL_SPECS,
+    CorpusConfig,
     DerivedKind,
     GraphError,
     JoinMode,
@@ -13,8 +16,10 @@ from fjoin import (
     degrees,
     derive,
     f_join,
+    family_corpus,
     generate,
     join,
+    random_graph,
 )
 
 from conftest import graphs
@@ -96,3 +101,41 @@ def test_composite_degree_contract(spec, g1, g2):
         assert deg[n1 + i] == base + (0 if vertex_mode else g2.n)
     for w in range(g2.n):
         assert deg[n1 + m1 + w] == d2[w] + (n1 if vertex_mode else m1)
+
+
+def definition_edges(left, anchors, g2):
+    """The edge set of ``left`` joined at ``anchors`` to ``g2``, by definition."""
+    offset = left.n
+    edges = set(left.edges)
+    edges.update((u + offset, v + offset) for u, v in g2.edges)
+    edges.update((a, offset + w) for a in anchors for w in range(g2.n))
+    return edges
+
+
+def _operand_pairs():
+    """Every ordered pair of the family corpus, then 40 seeded random pairs."""
+    corpus = [g for _, g in family_corpus(CorpusConfig())]
+    rng = random.Random(2017)
+
+    def operand():
+        n = rng.randint(1, 9)
+        return random_graph(n, rng.randint(0, n * (n - 1) // 2), rng.randrange(2**32))
+
+    return [(g1, g2) for g1 in corpus for g2 in corpus] + [
+        (operand(), operand()) for _ in range(40)
+    ]
+
+
+def test_composites_are_built_in_canonical_order():
+    for g1, g2 in _operand_pairs():
+        plain = join(g1, g2).graph.edges
+        assert list(plain) == sorted(definition_edges(g1, range(g1.n), g2))
+        for spec in ALL_SPECS:
+            left = derive(spec.kind, g1).graph
+            if spec.mode is JoinMode.VERTEX:
+                anchors = range(g1.n)
+            else:
+                anchors = range(g1.n, left.n)
+            # Equal to a sorted set: strictly ascending, and the right edges.
+            edges = f_join(spec, g1, g2).graph.edges
+            assert list(edges) == sorted(definition_edges(left, anchors, g2))
