@@ -49,7 +49,7 @@ from .indices import (
     rezm,
     second_zagreb,
 )
-from .joins import ALL_SPECS, JoinMode, OperationSpec, f_join, join
+from .joins import ALL_SPECS, JoinMode, OperationSpec, f_join
 
 __all__ = [
     "ALL_SPECS",
@@ -83,7 +83,6 @@ __all__ = [
     "generate",
     "hyper_zagreb",
     "invariants",
-    "join",
     "parse_edge_list",
     "power_sum",
     "power_sum_edge_form",

@@ -1,7 +1,14 @@
 """Closed-form F-index values of the eight composites, plus a family audit.
 
 :func:`theorem_value` evaluates the F-index of each composite purely from
-the two factor invariant bundles, without building anything. The rest of
+the two factor invariant bundles, without building anything, by one rule.
+A composite has three vertex blocks: the left originals with degree c * d
+(c = 2 when the original edges survive, else 1), the inserted vertices with
+degree 2 (or d_u + d_v when they are linked) and the right factor with its
+own degrees. The join shifts two blocks by a constant s, and each block
+contributes sum (d + s)^3 = P3 + 3s * P2 + 3s^2 * P1 + s^3 * N over its N
+vertices with degree-power sums P1, P2, P3. For linked inserted vertices
+those sums are M1, HM and M4 + 3 * ReZM of the left factor. The rest of
 the module carries a fixed table of path/cycle specializations for the same
 composites, recorded exactly as tabulated; :func:`audit_examples` replays
 every table entry on a grid of constructed operands and reports where the
@@ -22,6 +29,16 @@ from .joins import JoinMode, OperationSpec
 
 _FAMILY_FLOOR = {"path": 2, "cycle": 3}
 
+# Read once at import: the evaluator runs about 10^5 times per audit.
+_SCALE = {kind: 2 if kind.keeps_original_edges else 1 for kind in DerivedKind}
+_LINKED = {kind: kind.links_inserted for kind in DerivedKind}
+
+
+def _shift(count: int, p1: int, p2: int, s: int) -> int:
+    """Sum of (d + s)^3 - d^3 over a block of ``count`` degrees d whose sum
+    is ``p1`` and whose sum of squares is ``p2``."""
+    return s * (3 * p2 + s * (3 * p1 + s * count))
+
 
 def theorem_value(
     spec: OperationSpec, inv1: GraphInvariants, inv2: GraphInvariants
@@ -29,55 +46,25 @@ def theorem_value(
     """Exact F-index of the ``spec`` composite of two factors.
 
     ``inv1`` describes the left (derived) factor, ``inv2`` the right one.
+    The join adds ``n2`` to the degree of every anchor (each left original
+    in vertex mode, each inserted vertex in edge mode) and the anchor count
+    to the degree of every right vertex.
     """
-    n1, m1 = inv1.n, inv1.m
-    n2, m2 = inv2.n, inv2.m
-    vertex = spec.mode is JoinMode.VERTEX
-    if spec.kind is DerivedKind.S:
-        if vertex:
-            return (
-                inv1.F + inv2.F + 3 * n2 * inv1.M1 + 3 * n1 * inv2.M1
-                + 6 * m1 * n2**2 + 6 * m2 * n1**2
-                + n1 * n2 * (n1**2 + n2**2) + 8 * m1
-            )
+    n1, m1, n2 = inv1.n, inv1.m, inv2.n
+    c = _SCALE[spec.kind]
+    # p1, p2: the inserted block's sums of d and d^2; value starts as its sum
+    # of d^3. A linked inserted vertex has degree d_u + d_v for its edge uv.
+    if _LINKED[spec.kind]:
+        p1, p2, value = inv1.M1, inv1.HM, inv1.M4 + 3 * inv1.ReZM
+    else:
+        p1, p2, value = 2 * m1, 4 * m1, 8 * m1
+    value += c**3 * inv1.F + inv2.F
+    if spec.mode is JoinMode.VERTEX:
         return (
-            inv1.F + inv2.F + 3 * m1 * inv2.M1
-            + 6 * m1**2 * m2 + m1 * (n2 + 2) ** 3 + n2 * m1**3
+            value + _shift(n1, 2 * c * m1, c * c * inv1.M1, n2)
+            + _shift(n2, 2 * inv2.m, inv2.M1, n1)
         )
-    if spec.kind is DerivedKind.R:
-        if vertex:
-            return (
-                8 * inv1.F + inv2.F + 12 * n2 * inv1.M1 + 3 * n1 * inv2.M1
-                + 12 * m1 * n2**2 + 6 * m2 * n1**2
-                + n1 * n2 * (n1**2 + n2**2) + 8 * m1
-            )
-        return (
-            8 * inv1.F + inv2.F + 3 * m1 * inv2.M1
-            + 6 * m1**2 * m2 + m1 * (n2 + 2) ** 3 + n2 * m1**3
-        )
-    if spec.kind is DerivedKind.Q:
-        if vertex:
-            return (
-                inv1.F + inv2.F + 3 * n2 * inv1.M1 + 3 * n1 * inv2.M1
-                + inv1.M4 + 3 * inv1.ReZM
-                + 6 * m1 * n2**2 + 6 * m2 * n1**2 + n1 * n2 * (n1**2 + n2**2)
-            )
-        return (
-            inv1.F + inv2.F + 3 * n2**2 * inv1.M1 + 3 * m1 * inv2.M1
-            + inv1.M4 + 3 * n2 * inv1.HM + 3 * inv1.ReZM
-            + m1**2 * (6 * m2 + m1 * n2) + m1 * n2**3
-        )
-    if vertex:
-        return (
-            8 * inv1.F + inv2.F + 12 * n2 * inv1.M1 + 3 * n1 * inv2.M1
-            + inv1.M4 + 3 * inv1.ReZM
-            + 12 * m1 * n2**2 + 6 * m2 * n1**2 + n1 * n2 * (n1**2 + n2**2)
-        )
-    return (
-        8 * inv1.F + inv2.F + 3 * n2**2 * inv1.M1 + 3 * m1 * inv2.M1
-        + inv1.M4 + 3 * n2 * inv1.HM + 3 * inv1.ReZM
-        + m1**2 * (6 * m2 + m1 * n2) + m1 * n2**3
-    )
+    return value + _shift(m1, p1, p2, n2) + _shift(n2, 2 * inv2.m, inv2.M1, m1)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,8 @@
-"""Join composites: the plain join and the eight derived-graph variants.
+"""Join composites: the eight derived-graph join variants.
 
-A plain join connects every vertex of one graph to every vertex of the
-other. The derived variants first replace the left factor by one of its
-edge-insertion derived graphs and then attach the right factor completely
-to either the surviving source vertices (vertex mode) or the inserted
-vertices (edge mode).
+Each variant first replaces the left factor by one of its edge-insertion
+derived graphs and then attaches the right factor completely to either the
+surviving source vertices (vertex mode) or the inserted vertices (edge mode).
 
 Composite vertex ids follow the block layout of :mod:`fjoin.derived` with
 the right factor appended: left source vertices in ``[0, n1)``, inserted
@@ -84,13 +82,6 @@ def _attach(left: Graph, anchors: Iterable[int], right: Graph) -> Graph:
     return Graph(offset + right.n, tuple(chain.from_iterable(pieces)))
 
 
-def join(g1: Graph, g2: Graph) -> ProvenancedGraph:
-    """Plain join: both graphs side by side plus all cross edges."""
-    graph = _attach(g1, range(g1.n), g2)
-    tags = (VertexTag.ORIGINAL_G1,) * g1.n + (VertexTag.ORIGINAL_G2,) * g2.n
-    return ProvenancedGraph(graph, tags)
-
-
 def f_join(spec: OperationSpec, g1: Graph, g2: Graph) -> ProvenancedGraph:
     """Derived-graph join of ``g1`` and ``g2`` under ``spec``.
 
@@ -100,9 +91,9 @@ def f_join(spec: OperationSpec, g1: Graph, g2: Graph) -> ProvenancedGraph:
     """
     base = derive(spec.kind, g1)
     if spec.mode is JoinMode.VERTEX:
-        anchors = base.ids(VertexTag.ORIGINAL_G1)
+        anchors = range(g1.n)
     else:
-        anchors = base.ids(VertexTag.INSERTED)
+        anchors = range(g1.n, g1.n + g1.m)
     graph = _attach(base.graph, anchors, g2)
     tags = base.tags + (VertexTag.ORIGINAL_G2,) * g2.n
     return ProvenancedGraph(graph, tags, dict(base.origin_edge))

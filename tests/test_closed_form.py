@@ -42,7 +42,7 @@ def test_pinned_pair_values(p3, p4):
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
 @settings(max_examples=30, deadline=None)
-@given(graphs(max_n=7), graphs(max_n=7))
+@given(graphs(max_n=7, min_n=0), graphs(max_n=7, min_n=0))
 def test_closed_form_equals_brute_force(spec, g1, g2):
     """The central identity: formula value equals the built composite's."""
     closed = theorem_value(spec, invariants(g1), invariants(g2))

@@ -86,6 +86,13 @@ def test_bundle_matches_individual_indices(g):
     assert inv.HM == hyper_zagreb(g)
     assert inv.ReZM == rezm(g)
     assert inv.M4 == general_first_zagreb(g, 4)
+    # Edge sums of d_u + d_v (the degree of a linked inserted vertex), which
+    # the closed form reads off the bundle.
+    deg = g.degree_vector
+    sums = [deg[u] + deg[v] for u, v in g.edges]
+    assert sum(sums) == inv.M1
+    assert sum(s**2 for s in sums) == inv.HM
+    assert sum(s**3 for s in sums) == inv.M4 + 3 * inv.ReZM
 
 
 @pytest.mark.parametrize("a", [0, -1, 9])

@@ -17,8 +17,6 @@ from fjoin import (
     derive,
     f_join,
     family_corpus,
-    generate,
-    join,
     random_graph,
 )
 
@@ -43,21 +41,6 @@ def test_mode_parse():
     assert JoinMode.parse("edge") is JoinMode.EDGE
     with pytest.raises(GraphError, match="unknown join mode"):
         JoinMode.parse("both")
-
-
-def test_join_of_two_edges_is_complete():
-    pg = join(generate("path", 2), generate("path", 2))
-    assert pg.graph == generate("complete", 4)
-    assert pg.tags == (VertexTag.ORIGINAL_G1,) * 2 + (VertexTag.ORIGINAL_G2,) * 2
-
-
-@given(graphs(max_n=6), graphs(max_n=6))
-def test_join_degrees(g1, g2):
-    pg = join(g1, g2)
-    deg = degrees(pg.graph)
-    d1, d2 = degrees(g1), degrees(g2)
-    assert deg[: g1.n] == [d + g2.n for d in d1]
-    assert deg[g1.n :] == [d + g1.n for d in d2]
 
 
 @given(graphs(max_n=6), graphs(max_n=6))
@@ -128,8 +111,6 @@ def _operand_pairs():
 
 def test_composites_are_built_in_canonical_order():
     for g1, g2 in _operand_pairs():
-        plain = join(g1, g2).graph.edges
-        assert list(plain) == sorted(definition_edges(g1, range(g1.n), g2))
         for spec in ALL_SPECS:
             left = derive(spec.kind, g1).graph
             if spec.mode is JoinMode.VERTEX:
