@@ -46,7 +46,11 @@ def _read_text(path: str | None) -> str:
 
 
 def _read_graph(path: str | None):
-    return parse_edge_list(_read_text(path))
+    # Bytes, so that parse_edge_list reports undecodable input by line.
+    if path is None:
+        return parse_edge_list(sys.stdin.buffer.read())
+    with open(path, "rb") as handle:
+        return parse_edge_list(handle.read())
 
 
 def _resolve_seed(flag_value: int | None, fallback: int = DEFAULT_SEED) -> int:

@@ -8,9 +8,10 @@ graphs with the same vertex count and edge set compare equal structurally.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, starmap
+from itertools import chain, islice, starmap
 from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
@@ -19,6 +20,13 @@ FAMILIES = ("path", "cycle", "complete", "star")
 # Enumerating every candidate pair is exactly uniform but costs O(n^2) memory;
 # past this many pairs random_graph switches to rejection sampling.
 _SAMPLE_PAIR_LIMIT = 1_000_000
+
+# Whole lines of canonical edge-list text: two ASCII-digit fields, LF ending.
+_CANONICAL_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+# The bulk parser matches and splits the text this many characters at a time.
+# sre keeps backtracking state for every repetition of the group, so a single
+# match over a 300 K-edge text would hold tens of MB of it.
+_SLICE_CHARS = 1 << 16
 
 
 class GraphError(ValueError):
@@ -189,9 +197,69 @@ def parse_edge_list(text: str | bytes) -> Graph:
     The first data line is ``n m``; the next ``m`` data lines each hold one
     edge ``u v`` with 0-based ids. Lines starting with ``#`` are comments,
     blank lines are skipped, and both LF and CRLF endings are accepted.
+    Bytes are decoded as UTF-8.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        text = _decode(text)
+    graph = _parse_canonical(text)
+    return _parse_lines(text) if graph is None else graph
+
+
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The line the bad byte is on, counting line breaks as splitlines does.
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(line, f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
+
+
+def _parse_canonical(text: str) -> Graph | None:
+    """Parse canonical text in bulk, or return None for any other text.
+
+    Canonical text is what :func:`render_edge_list` writes: LF endings, no
+    comments or blank lines, one ``u v`` line of ASCII digits per edge with
+    ``u < v``, and the edges in strictly ascending order. Every text this
+    accepts, :func:`_parse_lines` accepts as the same graph; on None it
+    decides the verdict and any error message itself. Each slice is checked
+    as soon as it is split, so text that is not canonical early on costs
+    one slice here, not the whole text.
+    """
+    edges: list[tuple[int, int]] = []
+    start = 0
+    while start < len(text):
+        end = text.rfind("\n", start, start + _SLICE_CHARS) + 1
+        chunk = text[start:end]
+        if not chunk or _CANONICAL_LINES.fullmatch(chunk) is None:
+            return None
+        try:
+            ints = list(map(int, chunk.split()))
+        except ValueError:  # a field past the interpreter's int digit limit
+            return None
+        if not start:
+            n, m = ints[:2]
+            del ints[:2]
+        us, vs = ints[0::2], ints[1::2]
+        pairs = list(zip(us, vs))
+        previous = edges[-1] if edges else (-1, -1)  # below every pair
+        if not (all(map(lt, us, vs)) and all(map(lt, chain((previous,), pairs), pairs))):
+            return None
+        edges += pairs
+        start = end
+    if not text or len(edges) != m:
+        return None
+    try:
+        graph = Graph(n, tuple(edges))
+        # As in _parse_lines, count degrees even under -O, so that a vertex
+        # count too large to allocate is found here.
+        graph.degree_vector
+    except (GraphError, MemoryError, OverflowError):
+        return None
+    return graph
+
+
+def _parse_lines(text: str) -> Graph:
+    """Parse any edge-list text one line at a time; the reference parser."""
     header: tuple[int, int] | None = None
     header_line = 0
     edges: list[tuple[int, int]] = []
@@ -235,7 +303,7 @@ def parse_edge_list(text: str | bytes) -> Graph:
         # Count degrees now, even under -O where the handshake assert does
         # not, so that a vertex count too large to allocate fails here.
         graph.degree_vector
-    except MemoryError:
+    except (MemoryError, OverflowError):
         raise ParseError(
             header_line, f"vertex count {header[0]} is too large to allocate"
         ) from None

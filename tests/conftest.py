@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import strategies as st
 
@@ -16,6 +18,16 @@ def graphs(draw, max_n: int = 8, min_n: int = 1):
     else:
         edges = []
     return Graph.from_edges(n, edges)
+
+
+def small_numbers(data: str | bytes) -> bool:
+    """No run of 4 or more digits or underscores, which int() reads as one number.
+
+    Keeps property tests off headers like "10000000 0": a valid graph whose
+    degree vector alone takes 80 MB. Huge headers have their own tests.
+    """
+    text = data if isinstance(data, str) else data.decode("utf-8", "replace")
+    return not re.search(r"[\d_]{4}", text)
 
 
 @pytest.fixture

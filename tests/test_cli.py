@@ -3,8 +3,12 @@ from __future__ import annotations
 import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fjoin import (
     CorpusConfig,
@@ -20,6 +24,8 @@ from fjoin import (
 from fjoin.cli import main
 from fjoin.joins import JoinMode, OperationSpec
 
+from conftest import graphs, small_numbers
+
 TINY_CONFIG = {
     "path": [2, 4],
     "cycle": [3, 4],
@@ -34,7 +40,7 @@ TINY_CONFIG = {
 
 def run(capsys, argv, stdin: str | None = None, monkeypatch=None):
     if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -149,6 +155,42 @@ class TestIndex:
         code, out, err = run(capsys, ["index"], stdin="1000000000000 0\n", monkeypatch=monkeypatch)
         assert code == 1
         assert err == "fjoin: line 1: vertex count 1000000000000 is too large to allocate\n"
+
+    def test_overflowing_vertex_count_exits_1(self, capsys, monkeypatch):
+        # 10^20 vertices do not fit in an index at all.
+        header = "100000000000000000000"
+        code, out, err = run(capsys, ["index"], stdin=f"{header} 0\n", monkeypatch=monkeypatch)
+        assert code == 1
+        assert err == f"fjoin: line 1: vertex count {header} is too large to allocate\n"
+
+    def test_undecodable_file_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"2 1\n0 \xff1\n")
+        code, out, err = run(capsys, ["index", "--in", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err == "fjoin: line 2: invalid UTF-8 byte 0xff\n"
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.text().filter(small_numbers),
+            st.binary().filter(small_numbers),
+            graphs().map(render_edge_list).map(str.encode),
+        )
+    )
+    def test_any_stdin_exits_cleanly(self, data):
+        if isinstance(data, str):
+            data = data.encode()
+        stdin = io.TextIOWrapper(io.BytesIO(data))
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", stdin), redirect_stdout(out), redirect_stderr(err):
+            code = main(["index"])
+        assert code in (0, 1, 2)
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("fjoin: ")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
     def test_missing_file_exits_1(self, capsys):
         code, out, err = run(capsys, ["index", "--in", "/nonexistent/graph.txt"])

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fjoin.graph
 from fjoin import (
     Graph,
     GraphError,
@@ -15,8 +19,9 @@ from fjoin import (
     relabel,
     render_edge_list,
 )
+from fjoin.graph import _parse_canonical, _parse_lines
 
-from conftest import graphs
+from conftest import graphs, small_numbers
 
 
 def reference_validate(n, edges):
@@ -48,6 +53,52 @@ _edges = st.one_of(_pairs, _pairs, st.lists(_entries, max_size=3).map(tuple))
 _edge_tuples = st.lists(_edges, max_size=6).map(tuple)
 # Sorted and duplicate-free, so that many are accepted.
 _sorted_edge_tuples = st.sets(_pairs, max_size=6).map(sorted).map(tuple)
+
+
+# Characters that int(), str.split() or str.splitlines() accept in ways the
+# ASCII-only canonical form does not, such as "+1", "1_0", "\x1c" and "\u0661".
+_RAW_ALPHABET = "0123456789 \n\r\t#-+_x\x0c\x1c\u0661"
+
+
+@st.composite
+def _edited_edge_lists(draw):
+    """Rendered edge lists, some edited the ways real files go wrong."""
+    g = draw(graphs(max_n=8, min_n=0))
+    header, *body = render_edge_list(g).splitlines()
+    edits = st.sampled_from(["swap", "reverse", "duplicate", "respace", "splice", "n", "m"])
+    for edit in draw(st.lists(edits, max_size=2)):
+        n, m = header.split()
+        if edit == "n":
+            header = f"{draw(st.integers(0, 10))} {m}"
+        elif edit == "m":
+            header = f"{n} {draw(st.integers(0, 30))}"
+        elif body:
+            i = draw(st.integers(0, len(body) - 1))
+            j = draw(st.integers(0, len(body) - 1))
+            if edit == "swap":
+                body[i], body[j] = body[j], body[i]
+            elif edit == "reverse":
+                body[i] = " ".join(reversed(body[i].split()))
+            elif edit == "duplicate":  # the header keeps counting the lines
+                body.insert(j, body[i])
+                header = f"{n} {int(m) + 1}"
+            elif edit == "respace":  # any character but an ASCII digit
+                body[i] = body[i].replace(" ", draw(st.sampled_from(_RAW_ALPHABET[10:])))
+            else:  # splice: replace up to one character with one or two others
+                k = draw(st.integers(0, len(body[i])))
+                cut = k + draw(st.integers(0, 1))
+                body[i] = body[i][:k] + draw(st.text(_RAW_ALPHABET, min_size=1, max_size=2)) + body[i][cut:]
+    return "\n".join([header, *body]) + draw(st.sampled_from(["\n", ""]))
+
+
+_raw_edge_lists = st.text(_RAW_ALPHABET, max_size=60).filter(small_numbers)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
 
 
 class TestGraph:
@@ -213,6 +264,78 @@ class TestEdgeListFormat:
     def test_too_few_edges(self):
         with pytest.raises(ParseError, match="declared 2 edges, found 1"):
             parse_edge_list("3 2\n0 1\n")
+
+    @pytest.mark.parametrize(
+        "data,line,byte",
+        [(b"2 1\n0 \xff1\n", 2, "0xff"), (b"\xc3", 1, "0xc3"), (b"# c\r\n3 1\r0 \x80\n", 3, "0x80")],
+        ids=["lf", "first-byte", "cr"],
+    )
+    def test_undecodable_bytes_report_line(self, data, line, byte):
+        with pytest.raises(ParseError) as excinfo:
+            parse_edge_list(data)
+        assert excinfo.value.line == line
+        assert str(excinfo.value) == f"line {line}: invalid UTF-8 byte {byte}"
+
+    def test_overflowing_vertex_count(self):
+        with pytest.raises(ParseError, match="line 1: vertex count 10+ is too large to allocate"):
+            parse_edge_list("100000000000000000000 0\n")
+
+    @settings(max_examples=1000)
+    @given(st.one_of(_edited_edge_lists(), _raw_edge_lists), st.integers(1, 40))
+    @example("3 2\n0 1\n1 2\n", 4)
+    @example("3 2\n0 1\n1 3\n", 40)  # a vertex id equal to n
+    @example("3 2\n1 2\n0 1\n", 40)  # unsorted
+    @example("3 2\n0 1\n0 1\n", 40)  # duplicate
+    @example("3 1\n1 0\n", 40)  # reversed
+    @example("2 1\n0\x1c1\n", 40)  # a separator splitlines breaks at
+    @example("2 1\n0 1", 40)  # no final newline
+    @example("1" * 5000 + " 0\n", 40)  # past int()'s default digit limit on 3.11
+    def test_bulk_parse_matches_line_loop(self, text, slice_chars):
+        expected = _parse_outcome(_parse_lines, text)
+        assert _parse_outcome(parse_edge_list, text) == expected
+        # Small slices put slice boundaries inside the text.
+        with mock.patch.object(fjoin.graph, "_SLICE_CHARS", slice_chars):
+            assert _parse_outcome(parse_edge_list, text) == expected
+
+    @given(graphs(min_n=0), st.integers(5, 40))
+    def test_rendered_text_takes_bulk_path(self, g, slice_chars):
+        # The bulk checks only decide when to give up, so the equivalence
+        # property above cannot see them turn canonical text away.
+        with mock.patch.object(fjoin.graph, "_SLICE_CHARS", slice_chars):
+            assert _parse_canonical(render_edge_list(g)) == g
+
+    @pytest.mark.parametrize("edit", ["unsorted", "reversed", "crlf"])
+    def test_bulk_parse_gives_up_in_first_slice(self, edit):
+        # A star's lines still ascend once reversed, so only the pair-order
+        # check can turn them away.
+        g = generate("star", 20_000) if edit == "reversed" else random_graph(5000, 20_000, 1)
+        header, *body = render_edge_list(g).splitlines()
+        if edit == "unsorted":
+            body.reverse()
+        elif edit == "reversed":
+            body = [" ".join(reversed(line.split())) for line in body]
+        end = "\r\n" if edit == "crlf" else "\n"
+        text = end.join([header, *body]) + end
+        with mock.patch.object(
+            fjoin.graph, "_CANONICAL_LINES", wraps=fjoin.graph._CANONICAL_LINES
+        ) as lines:
+            assert _parse_canonical(text) is None
+        assert lines.fullmatch.call_count == 1
+
+    def test_bulk_parse_peak_memory_is_bounded(self):
+        # Measured peak over kept: about 1.3 with the text matched and split in
+        # slices, 1.8 to 1.9 with one regex match over the whole text.
+        g = random_graph(5000, 20_000, 1)
+        text = render_edge_list(g)
+        assert len(text) > fjoin.graph._SLICE_CHARS
+        tracemalloc.start()
+        try:
+            parsed = parse_edge_list(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert parsed == g
+        assert peak < 1.5 * kept
 
 
 class TestRandomGraph:
