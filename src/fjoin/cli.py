@@ -5,8 +5,8 @@ is edge-list text from a file flag or stdin; graph output is edge-list text
 on stdout.
 
 Exit codes: 0 success (for verify, success means zero mismatches), 1 input
-parse or read failure, 2 usage or domain error, 3 arithmetic overflow
-(structurally unreachable with exact integer arithmetic, mapped anyway).
+parse or read failure, 2 usage or domain error, 3 arithmetic overflow (a
+size that no index-sized integer holds, such as ``bench --n1 10**20``).
 """
 
 from __future__ import annotations

@@ -7,13 +7,16 @@ endpoint are linked to each other.
 
 Vertex ids in the result are laid out in blocks: source vertices keep their
 ids in ``[0, n)``, inserted vertices occupy ``[n, n + m)`` in the canonical
-order of the edges they subdivide.
+order of the edges they subdivide. A join composite appends the right
+factor's vertices after both blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, combinations
+from typing import Iterable
 
 from .graph import Graph, GraphError
 
@@ -52,58 +55,61 @@ class VertexTag(str, Enum):
 
 @dataclass(frozen=True)
 class ProvenancedGraph:
-    """A graph whose vertices carry their provenance.
+    """A derived graph or join composite together with its left factor.
 
-    ``tags[v]`` says which block vertex ``v`` belongs to; ``origin_edge``
-    maps each inserted vertex to the source edge it subdivides.
+    Provenance is the block layout, so it is read off ``source`` rather
+    than stored: ``tags[v]`` says which block vertex ``v`` belongs to, and
+    ``origin_edge`` maps each inserted vertex to the source edge it
+    subdivides. Ids from ``source.n + source.m`` on are the right factor's.
     """
 
     graph: Graph
-    tags: tuple[VertexTag, ...]
-    origin_edge: dict[int, tuple[int, int]] = field(default_factory=dict)
+    source: Graph
 
     def __post_init__(self):
-        if len(self.tags) != self.graph.n:
+        if self.graph.n < self.source.n + self.source.m:
             raise GraphError(
-                f"{len(self.tags)} tags for {self.graph.n} vertices"
+                f"{self.graph.n} vertices cannot hold a source with "
+                f"{self.source.n} vertices and {self.source.m} edges"
             )
-        inserted = [v for v, tag in enumerate(self.tags) if tag is VertexTag.INSERTED]
-        if sorted(self.origin_edge) != inserted:
-            raise GraphError("origin_edge keys must be exactly the inserted vertices")
 
     def ids(self, tag: VertexTag) -> tuple[int, ...]:
-        """All vertex ids carrying ``tag``, ascending."""
-        return tuple(v for v, t in enumerate(self.tags) if t is tag)
+        """All vertex ids carrying ``tag``, ascending; blocks follow tag order."""
+        cuts = (0, self.source.n, self.source.n + self.source.m, self.graph.n)
+        block = list(VertexTag).index(tag)
+        return tuple(range(cuts[block], cuts[block + 1]))
+
+    @property
+    def tags(self) -> tuple[VertexTag, ...]:
+        return tuple(tag for tag in VertexTag for _ in self.ids(tag))
+
+    @property
+    def origin_edge(self) -> dict[int, tuple[int, int]]:
+        return dict(enumerate(self.source.edges, self.source.n))
 
 
 def derive(kind: DerivedKind, source: Graph) -> ProvenancedGraph:
     """Build the derived graph of ``kind`` over ``source``.
 
-    Edge generation is set-backed, so the three edge groups (subdivision,
-    original, inserted-inserted) cannot collide even if a future variant
-    overlaps them.
+    The three edge groups (subdivision, original, inserted-inserted) are
+    disjoint by construction, so a duplicate edge is a bug and ``Graph``
+    rejects it.
     """
     n = source.n
-    inserted_of = {edge: n + i for i, edge in enumerate(source.edges)}
-    edges: set[tuple[int, int]] = set()
-    for (u, v), w in inserted_of.items():
-        edges.add((u, w))
-        edges.add((v, w))
+    inserted = list(enumerate(source.edges, n))
+    groups: list[Iterable[tuple[int, int]]] = [
+        [(u, w) for w, (u, v) in inserted],
+        [(v, w) for w, (u, v) in inserted],
+    ]
     if kind.keeps_original_edges:
-        edges.update(source.edges)
+        groups.append(source.edges)
     if kind.links_inserted:
         # Bucket inserted vertices by shared source endpoint; each bucket
         # contributes one clique, and edges sharing an endpoint pair up once.
         incident: list[list[int]] = [[] for _ in range(n)]
-        for (u, v), w in inserted_of.items():
+        for w, (u, v) in inserted:
             incident[u].append(w)
             incident[v].append(w)
-        for bucket in incident:
-            for i, a in enumerate(bucket):
-                for b in bucket[i + 1 :]:
-                    edges.add((a, b) if a < b else (b, a))
-    graph = Graph.from_edges(n + source.m, edges)
-    tags = (VertexTag.ORIGINAL_G1,) * n + (VertexTag.INSERTED,) * source.m
-    return ProvenancedGraph(
-        graph, tags, {w: edge for edge, w in inserted_of.items()}
-    )
+        groups.extend(combinations(bucket, 2) for bucket in incident)
+    graph = Graph.from_edges(n + source.m, chain.from_iterable(groups))
+    return ProvenancedGraph(graph, source)

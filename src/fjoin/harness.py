@@ -115,6 +115,8 @@ class CorpusConfig:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GraphError(f"corpus config is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise GraphError("corpus config is nested too deeply to parse") from None
         return cls.from_dict(data)
 
     def with_seed(self, seed: int) -> CorpusConfig:

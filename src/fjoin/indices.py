@@ -42,10 +42,16 @@ class GraphInvariants:
 
 
 def power_sum(graph: Graph, a: int) -> int:
-    """Sum of ``deg(v) ** a`` over vertices."""
+    """Sum of ``deg(v) ** a`` over vertices; a=2, 3, 4 give M1, F, M4."""
     if not 1 <= a <= MAX_POWER:
         raise GraphError(f"power must be in [1, {MAX_POWER}], got {a}")
-    return sum(d**a for d in graph.degree_vector)
+    value = sum(d**a for d in graph.degree_vector)
+    assert value == power_sum_edge_form(graph, a)
+    return value
+
+
+# The general first Zagreb index M_a is the same sum under its literature name.
+general_first_zagreb = power_sum
 
 
 def power_sum_edge_form(graph: Graph, a: int) -> int:
@@ -62,9 +68,7 @@ def power_sum_edge_form(graph: Graph, a: int) -> int:
 
 def first_zagreb(graph: Graph) -> int:
     """Sum of squared degrees."""
-    value = sum(d * d for d in graph.degree_vector)
-    assert value == power_sum_edge_form(graph, 2)
-    return value
+    return power_sum(graph, 2)
 
 
 def second_zagreb(graph: Graph) -> int:
@@ -75,9 +79,7 @@ def second_zagreb(graph: Graph) -> int:
 
 def f_index(graph: Graph) -> int:
     """Sum of cubed degrees (the forgotten index)."""
-    value = sum(d**3 for d in graph.degree_vector)
-    assert value == power_sum_edge_form(graph, 3)
-    return value
+    return power_sum(graph, 3)
 
 
 def hyper_zagreb(graph: Graph) -> int:
@@ -90,14 +92,6 @@ def rezm(graph: Graph) -> int:
     """Sum of ``deg(u) * deg(v) * (deg(u) + deg(v))`` over edges."""
     deg = graph.degree_vector
     return sum(deg[u] * deg[v] * (deg[u] + deg[v]) for u, v in graph.edges)
-
-
-def general_first_zagreb(graph: Graph, a: int) -> int:
-    """Sum of ``deg(v) ** a`` over vertices; a=2, 3, 4 give M1, F, M4."""
-    value = power_sum(graph, a)
-    if a == 4:
-        assert value == power_sum_edge_form(graph, 4)
-    return value
 
 
 def invariants(graph: Graph) -> GraphInvariants:

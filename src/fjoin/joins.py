@@ -4,9 +4,7 @@ Each variant first replaces the left factor by one of its edge-insertion
 derived graphs and then attaches the right factor completely to either the
 surviving source vertices (vertex mode) or the inserted vertices (edge mode).
 
-Composite vertex ids follow the block layout of :mod:`fjoin.derived` with
-the right factor appended: left source vertices in ``[0, n1)``, inserted
-vertices in ``[n1, n1 + m1)``, right vertices in ``[n1 + m1, n1 + m1 + n2)``.
+Composite vertex ids follow the block layout of :mod:`fjoin.derived`.
 """
 
 from __future__ import annotations
@@ -90,10 +88,5 @@ def f_join(spec: OperationSpec, g1: Graph, g2: Graph) -> ProvenancedGraph:
     inserted vertices.
     """
     base = derive(spec.kind, g1)
-    if spec.mode is JoinMode.VERTEX:
-        anchors = range(g1.n)
-    else:
-        anchors = range(g1.n, g1.n + g1.m)
-    graph = _attach(base.graph, anchors, g2)
-    tags = base.tags + (VertexTag.ORIGINAL_G2,) * g2.n
-    return ProvenancedGraph(graph, tags, dict(base.origin_edge))
+    block = VertexTag.ORIGINAL_G1 if spec.mode is JoinMode.VERTEX else VertexTag.INSERTED
+    return ProvenancedGraph(_attach(base.graph, base.ids(block), g2), g1)

@@ -37,6 +37,23 @@ TINY_CONFIG = {
     "seed": 5,
 }
 
+# Small integers keep every valid corpus config tiny: ranges end by 6 at most.
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+CONFIG_KEYS = (*TINY_CONFIG, "paths", "trials", "")
+CONFIG_VALUES = st.one_of(st.lists(st.integers(-2, 6), min_size=2, max_size=2), JSON_VALUES)
+
 
 def run(capsys, argv, stdin: str | None = None, monkeypatch=None):
     if stdin is not None:
@@ -238,6 +255,7 @@ class TestVerify:
             pytest.param('{"seed": null}', id="seed-null"),
             pytest.param('{"seed": 1.7}', id="seed-float"),
             pytest.param('{"seed": true}', id="seed-bool"),
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
         ],
     )
     def test_bad_config_is_usage_error(self, capsys, tmp_path, config):
@@ -247,6 +265,29 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("fjoin: ")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            JSON_VALUES,
+            st.dictionaries(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES, max_size=5),
+        )
+    )
+    def test_any_config_exits_cleanly(self, tmp_path_factory, config):
+        # Known keys a draw leaves out come from TINY_CONFIG rather than the
+        # much larger default corpus, so a valid draw stays under 450 pairs.
+        if isinstance(config, dict):
+            config = {**TINY_CONFIG, **config}
+        path = tmp_path_factory.getbasetemp() / "any-config.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", "--config", str(path)])
+        assert code in (0, 1, 2)
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("fjoin: ")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 class TestAudit:
@@ -299,6 +340,17 @@ class TestBench:
         )
         assert code == 2
         assert out == "" and "edge budget" in err
+
+    def test_unindexable_order_exits_3(self, capsys):
+        # No index-sized integer holds 10^20, so even the empty graph's
+        # degree vector cannot be requested.
+        code, out, err = run(
+            capsys,
+            ["bench", "--n1", "100000000000000000000", "--n2", "1", "--density", "0"],
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("fjoin: overflow: ")
 
     def test_budget_skips_construction(self, capsys):
         code, out, err = run(

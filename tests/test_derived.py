@@ -7,6 +7,7 @@ from fjoin import (
     DerivedKind,
     Graph,
     GraphError,
+    ProvenancedGraph,
     VertexTag,
     degrees,
     derive,
@@ -114,3 +115,9 @@ def test_edgeless_source_has_no_inserted_vertices():
         pg = derive(kind, g)
         assert pg.graph == g
         assert pg.origin_edge == {}
+
+
+def test_provenance_needs_room_for_both_left_blocks():
+    # path-3 has 3 vertices and 2 edges, so its blocks need 5 vertex ids.
+    with pytest.raises(GraphError, match="cannot hold"):
+        ProvenancedGraph(Graph(2, ()), generate("path", 3))
