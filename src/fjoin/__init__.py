@@ -24,7 +24,6 @@ from .graph import (
     generate,
     parse_edge_list,
     random_graph,
-    relabel,
     render_edge_list,
 )
 from .harness import (
@@ -42,12 +41,9 @@ from .indices import (
     f_index,
     first_zagreb,
     general_first_zagreb,
-    hyper_zagreb,
     invariants,
     power_sum,
     power_sum_edge_form,
-    rezm,
-    second_zagreb,
 )
 from .joins import ALL_SPECS, JoinMode, OperationSpec, f_join
 
@@ -81,16 +77,12 @@ __all__ = [
     "first_zagreb",
     "general_first_zagreb",
     "generate",
-    "hyper_zagreb",
     "invariants",
     "parse_edge_list",
     "power_sum",
     "power_sum_edge_form",
     "random_graph",
-    "relabel",
     "render_edge_list",
-    "rezm",
-    "second_zagreb",
     "theorem_value",
     "verify_corpus",
     "verify_pair",

@@ -5,8 +5,9 @@ is edge-list text from a file flag or stdin; graph output is edge-list text
 on stdout.
 
 Exit codes: 0 success (for verify, success means zero mismatches), 1 input
-parse or read failure, 2 usage or domain error, 3 arithmetic overflow (a
-size that no index-sized integer holds, such as ``bench --n1 10**20``).
+parse or read failure, 2 usage or domain error, 3 a size that no
+index-sized integer holds (``bench --n1 10**20``) or that cannot be
+allocated (``bench --n1 10**12``).
 """
 
 from __future__ import annotations
@@ -211,6 +212,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except OverflowError as exc:
         print(f"fjoin: overflow: {exc}", file=sys.stderr)
+        return EXIT_OVERFLOW
+    except MemoryError:
+        print("fjoin: out of memory: a requested size is too large to allocate", file=sys.stderr)
         return EXIT_OVERFLOW
     except (GraphError, ValueError) as exc:
         print(f"fjoin: {exc}", file=sys.stderr)

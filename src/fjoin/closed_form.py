@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .derived import DerivedKind
 from .graph import GraphError, generate
@@ -79,7 +79,8 @@ class FamilyCase:
 
     example: int
     case: str
-    spec: OperationSpec
+    kind: DerivedKind
+    mode: JoinMode
     g1_family: str
     g2_family: str
     n_min: int
@@ -89,6 +90,10 @@ class FamilyCase:
     @property
     def label(self) -> str:
         return f"{self.example}.{self.case}"
+
+    @property
+    def spec(self) -> OperationSpec:
+        return OperationSpec(self.kind, self.mode)
 
 
 def _build_table() -> tuple[FamilyCase, ...]:
@@ -163,21 +168,11 @@ def _build_table() -> tuple[FamilyCase, ...]:
         (8, "iv", T, E, "cycle", "path", 3, 3,
          lambda n, m: m**3 * n + 12 * m**2 * n + m * n**3 + 6 * n**2 * (m - 1) + 60 * m * n + 8 * m + 110 * n - 14),
     ]
-    table = []
-    for example, case, kind, mode, fam1, fam2, n_min, m_min, poly in rows:
-        table.append(
-            FamilyCase(
-                example=example,
-                case=case,
-                spec=OperationSpec(kind, mode),
-                g1_family=fam1,
-                g2_family=fam2,
-                n_min=max(n_min, _FAMILY_FLOOR[fam1]),
-                m_min=max(m_min, _FAMILY_FLOOR[fam2]),
-                value=poly,
-            )
-        )
-    return tuple(table)
+    return tuple(
+        FamilyCase(example, case, kind, mode, fam1, fam2,
+                   max(n_min, _FAMILY_FLOOR[fam1]), max(m_min, _FAMILY_FLOOR[fam2]), poly)
+        for example, case, kind, mode, fam1, fam2, n_min, m_min, poly in rows
+    )
 
 
 FAMILY_CASES: tuple[FamilyCase, ...] = _build_table()
@@ -204,8 +199,7 @@ def family_value(example: int, case: str, n: int, m: int) -> int:
     return entry.value(n, m)
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     n: int
     m: int
     family_value: int
@@ -233,26 +227,14 @@ class CaseResult:
         return "verified" if self.verified else "mismatch"
 
     def as_dict(self) -> dict:
+        """The case's fields but its polynomial, then the grid outcome."""
+        row = dict(vars(self.case))
+        del row["value"]
         return {
-            "example": self.case.example,
-            "case": self.case.case,
-            "kind": self.case.spec.kind.value,
-            "mode": self.case.spec.mode.value,
-            "g1_family": self.case.g1_family,
-            "g2_family": self.case.g2_family,
-            "n_min": self.case.n_min,
-            "m_min": self.case.m_min,
+            **row,
             "points": self.points,
             "verdict": self.verdict,
-            "mismatches": [
-                {
-                    "n": miss.n,
-                    "m": miss.m,
-                    "family_value": miss.family_value,
-                    "oracle_value": miss.oracle_value,
-                }
-                for miss in self.mismatches
-            ],
+            "mismatches": [miss._asdict() for miss in self.mismatches],
         }
 
 
@@ -299,6 +281,7 @@ def audit_examples(n_max: int = 8, m_max: int = 8) -> AuditReport:
 
     results = []
     for entry in FAMILY_CASES:
+        spec = entry.spec
         points = 0
         mismatches = []
         for n in range(entry.n_min, n_max + 1):
@@ -306,7 +289,7 @@ def audit_examples(n_max: int = 8, m_max: int = 8) -> AuditReport:
                 points += 1
                 tabulated = entry.value(n, m)
                 oracle = theorem_value(
-                    entry.spec, factor(entry.g1_family, n), factor(entry.g2_family, m)
+                    spec, factor(entry.g1_family, n), factor(entry.g2_family, m)
                 )
                 if tabulated != oracle:
                     mismatches.append(Mismatch(n, m, tabulated, oracle))

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, starmap
 from operator import itemgetter, lt
-from typing import Iterable, Sequence
+from typing import Iterable
 
-FAMILIES = ("path", "cycle", "complete", "star")
+# The named families and the least order each exists at: shorter cycles would
+# need loops or doubled edges, and a star needs its hub and one leaf.
+FAMILIES = {"path": 1, "cycle": 3, "complete": 1, "star": 2}
 
 # Enumerating every candidate pair is exactly uniform but costs O(n^2) memory;
 # past this many pairs random_graph switches to rejection sampling.
@@ -130,30 +132,21 @@ def degrees(graph: Graph) -> list[int]:
 
 
 def generate(family: str, n: int) -> Graph:
-    """Build the ``n``-vertex member of a named family.
-
-    path needs n >= 1, cycle n >= 3 (shorter cycles would need loops or
-    doubled edges), complete n >= 1, star n >= 2 with vertex 0 as the hub.
-    """
+    """Build the ``n``-vertex member of a named family, ``n`` at least the
+    family's minimum in :data:`FAMILIES`; a star's hub is vertex 0."""
+    if family not in FAMILIES:
+        raise GraphError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
+    if n < FAMILIES[family]:
+        raise GraphError(f"{family} needs n >= {FAMILIES[family]}, got {n}")
     if family == "path":
-        if n < 1:
-            raise GraphError(f"path needs n >= 1, got {n}")
         edges = [(i, i + 1) for i in range(n - 1)]
     elif family == "cycle":
-        if n < 3:
-            raise GraphError(f"cycle needs n >= 3, got {n}")
         edges = [(i, i + 1) for i in range(n - 1)]
         edges.append((0, n - 1))
     elif family == "complete":
-        if n < 1:
-            raise GraphError(f"complete needs n >= 1, got {n}")
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    elif family == "star":
-        if n < 2:
-            raise GraphError(f"star needs n >= 2, got {n}")
-        edges = [(0, leaf) for leaf in range(1, n)]
     else:
-        raise GraphError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
+        edges = [(0, leaf) for leaf in range(1, n)]
     return Graph.from_edges(n, edges)
 
 
@@ -180,15 +173,6 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
                 picked.add((u, v) if u < v else (v, u))
         chosen = picked
     return Graph.from_edges(n, chosen)
-
-
-def relabel(graph: Graph, permutation: Sequence[int]) -> Graph:
-    """Rename vertex ``v`` to ``permutation[v]``; the result is isomorphic."""
-    if sorted(permutation) != list(range(graph.n)):
-        raise GraphError("relabel needs a permutation of 0..n-1")
-    return Graph.from_edges(
-        graph.n, ((permutation[u], permutation[v]) for u, v in graph.edges)
-    )
 
 
 def parse_edge_list(text: str | bytes) -> Graph:

@@ -13,15 +13,13 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .closed_form import theorem_value
 from .graph import FAMILIES, Graph, GraphError, generate, random_graph
 from .indices import f_index, invariants
 from .joins import ALL_SPECS, f_join
-
-_FAMILY_FLOORS = {"path": 1, "cycle": 3, "complete": 1, "star": 2}
 
 # Construction beyond this many composite edges is treated as infeasible for
 # the benchmark; well under memory limits but already far slower than the
@@ -38,8 +36,10 @@ def _is_int(value) -> bool:
 class CorpusConfig:
     """What the verification corpus contains.
 
-    Family ranges are inclusive ``(low, high)`` vertex counts. Random
-    operands are drawn with ``n`` up to ``max_random_n`` and ``m`` up to
+    Family ranges are inclusive ``(low, high)`` vertex counts, one
+    ``<family>_sizes`` field per family in :data:`~fjoin.graph.FAMILIES`,
+    keyed by the family's name in a config file. Random operands are drawn
+    with ``n`` up to ``max_random_n`` and ``m`` up to
     ``min(max_random_m, n * (n - 1) // 2)``, all derived from ``seed``.
     """
 
@@ -56,10 +56,10 @@ class CorpusConfig:
         for family, (low, high) in self.family_ranges().items():
             if low > high:
                 raise GraphError(f"empty {family} range ({low}, {high})")
-            if low < _FAMILY_FLOORS[family]:
+            if low < FAMILIES[family]:
                 raise GraphError(
                     f"{family} range starts at {low}, below the family minimum "
-                    f"{_FAMILY_FLOORS[family]}"
+                    f"{FAMILIES[family]}"
                 )
         if self.random_trials < 0:
             raise GraphError(f"random_trials must be nonnegative, got {self.random_trials}")
@@ -69,44 +69,32 @@ class CorpusConfig:
             raise GraphError(f"max_random_m must be nonnegative, got {self.max_random_m}")
 
     def family_ranges(self) -> dict[str, tuple[int, int]]:
-        return {
-            "path": self.path_sizes,
-            "cycle": self.cycle_sizes,
-            "complete": self.complete_sizes,
-            "star": self.star_sizes,
-        }
+        return {family: getattr(self, f"{family}_sizes") for family in FAMILIES}
 
     @classmethod
     def from_dict(cls, data: dict) -> CorpusConfig:
         if not isinstance(data, dict):
             raise GraphError("corpus config must be a JSON object")
-        known = {
-            "path": "path_sizes",
-            "cycle": "cycle_sizes",
-            "complete": "complete_sizes",
-            "star": "star_sizes",
-            "random_trials": "random_trials",
-            "max_random_n": "max_random_n",
-            "max_random_m": "max_random_m",
-            "seed": "seed",
-        }
+        scalars = {field.name for field in fields(cls)}.difference(
+            f"{family}_sizes" for family in FAMILIES
+        )
         kwargs = {}
         for key, value in data.items():
-            if key not in known:
-                raise GraphError(f"unknown corpus config key {key!r}")
             if key in FAMILIES:
                 if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))):
                     raise GraphError(
                         f"corpus config {key!r} must be a [low, high] pair of integers, "
                         f"got {json.dumps(value)}"
                     )
-                kwargs[known[key]] = tuple(value)
-            else:
+                kwargs[f"{key}_sizes"] = tuple(value)
+            elif key in scalars:
                 if not _is_int(value):
                     raise GraphError(
                         f"corpus config {key!r} must be an integer, got {json.dumps(value)}"
                     )
-                kwargs[known[key]] = value
+                kwargs[key] = value
+            else:
+                raise GraphError(f"unknown corpus config key {key!r}")
         return cls(**kwargs)
 
     @classmethod
@@ -139,15 +127,7 @@ class PairRecord:
         return self.closed_form == self.oracle
 
     def as_dict(self) -> dict:
-        return {
-            "g1": self.g1,
-            "g2": self.g2,
-            "kind": self.kind,
-            "mode": self.mode,
-            "closed_form": self.closed_form,
-            "oracle": self.oracle,
-            "match": self.match,
-        }
+        return {**vars(self), "match": self.match}
 
 
 @dataclass(frozen=True)
@@ -234,9 +214,6 @@ def verify_corpus(config: CorpusConfig | None = None) -> VerificationReport:
         labels = (f"random-{trial:03d}-a", f"random-{trial:03d}-b")
         records.extend(verify_pair(g1, g2, *labels).records)
     return VerificationReport(tuple(records))
-
-
-BENCH_CSV_HEADER = "n1,n2,m1,m2,closed_ns,construct_ns,feasible,equal"
 
 
 @dataclass(frozen=True)

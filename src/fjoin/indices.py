@@ -1,10 +1,11 @@
-"""Degree-based topological indices and the per-graph invariant bundle.
+"""Degree-power sums and the per-graph invariant bundle.
 
 Every index is an exact integer: Python arithmetic never overflows, so no
-tolerance is involved anywhere. The vertex-sum indices also have equivalent
+tolerance is involved anywhere. The vertex sums (M1, F, M4) have equivalent
 edge-sum forms (each edge contributes one power of each endpoint degree);
 the cheap form is used for the value and the other form backs a debug-mode
-cross-check under ``assert``.
+cross-check under ``assert``. The edge indices M2, HM and ReZM exist only
+as fields of the bundle, which :func:`invariants` fills in one edge pass.
 """
 
 from __future__ import annotations
@@ -23,7 +24,11 @@ MAX_POWER = 8
 
 @dataclass(frozen=True)
 class GraphInvariants:
-    """The size and index values a closed-form evaluation needs of one factor."""
+    """The size and index values a closed-form evaluation needs of one factor.
+
+    M1, F and M4 sum d^2, d^3 and d^4 over vertices; M2, HM and ReZM sum
+    d_u * d_v, (d_u + d_v)^2 and d_u * d_v * (d_u + d_v) over edges.
+    """
 
     n: int
     m: int
@@ -71,27 +76,9 @@ def first_zagreb(graph: Graph) -> int:
     return power_sum(graph, 2)
 
 
-def second_zagreb(graph: Graph) -> int:
-    """Sum of ``deg(u) * deg(v)`` over edges."""
-    deg = graph.degree_vector
-    return sum(deg[u] * deg[v] for u, v in graph.edges)
-
-
 def f_index(graph: Graph) -> int:
     """Sum of cubed degrees (the forgotten index)."""
     return power_sum(graph, 3)
-
-
-def hyper_zagreb(graph: Graph) -> int:
-    """Sum of ``(deg(u) + deg(v)) ** 2`` over edges."""
-    deg = graph.degree_vector
-    return sum((deg[u] + deg[v]) ** 2 for u, v in graph.edges)
-
-
-def rezm(graph: Graph) -> int:
-    """Sum of ``deg(u) * deg(v) * (deg(u) + deg(v))`` over edges."""
-    deg = graph.degree_vector
-    return sum(deg[u] * deg[v] * (deg[u] + deg[v]) for u, v in graph.edges)
 
 
 def invariants(graph: Graph) -> GraphInvariants:

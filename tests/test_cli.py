@@ -4,6 +4,7 @@ import io
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -25,6 +26,8 @@ from fjoin.cli import main
 from fjoin.joins import JoinMode, OperationSpec
 
 from conftest import graphs, small_numbers
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 TINY_CONFIG = {
     "path": [2, 4],
@@ -248,23 +251,32 @@ class TestVerify:
         assert "FJOIN_SEED" in err
 
     @pytest.mark.parametrize(
-        "config",
+        "config, reason",
         [
-            pytest.param('{"paths": [1, 2]}', id="unknown-key"),
-            pytest.param('{"path": 5}', id="range-not-a-list"),
-            pytest.param('{"seed": null}', id="seed-null"),
-            pytest.param('{"seed": 1.7}', id="seed-float"),
-            pytest.param('{"seed": true}', id="seed-bool"),
-            pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+            pytest.param('{"paths": [1, 2]}', "unknown corpus config key 'paths'", id="unknown-key"),
+            # A range is keyed by its family's name, never by its field's.
+            pytest.param(
+                '{"path_sizes": [1, 2]}',
+                "unknown corpus config key 'path_sizes'",
+                id="field-name-as-key",
+            ),
+            pytest.param('{"path": 5}', "must be a [low, high] pair", id="range-not-a-list"),
+            pytest.param('{"seed": null}', "must be an integer", id="seed-null"),
+            pytest.param('{"seed": 1.7}', "must be an integer", id="seed-float"),
+            pytest.param('{"seed": true}', "must be an integer", id="seed-bool"),
+            pytest.param(
+                "[" * 100_000 + "]" * 100_000, "nested too deeply", id="nested-too-deep"
+            ),
         ],
     )
-    def test_bad_config_is_usage_error(self, capsys, tmp_path, config):
+    def test_bad_config_is_usage_error(self, capsys, tmp_path, config, reason):
         path = tmp_path / "bad.json"
         path.write_text(config)
         code, out, err = run(capsys, ["verify", "--config", str(path)])
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("fjoin: ")
+        assert reason in err
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -304,6 +316,12 @@ class TestAudit:
         payload = json.loads(out)
         assert {case["verdict"] for case in payload["cases"]} == {"empty"}
         assert payload["summary"] == {"cases": 32, "verified": 0, "mismatched": 0}
+
+    def test_default_grid_is_the_shipped_report_byte_for_byte(self, capsys):
+        # Key order and layout included, which a comparison of parsed JSON misses.
+        code, out, err = run(capsys, ["audit", "--n-max", "8", "--m-max", "8"])
+        assert code == 0
+        assert out.encode() == (REPO_ROOT / "audit_report.json").read_bytes()
 
 
 class TestBench:
@@ -351,6 +369,17 @@ class TestBench:
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("fjoin: overflow: ")
+
+    def test_unallocatable_order_exits_3(self, capsys):
+        # 10^12 vertices fit in an index, but the degree vector's allocation
+        # request fails at once.
+        code, out, err = run(
+            capsys,
+            ["bench", "--n1", "1000000000000", "--n2", "1", "--density", "0"],
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("fjoin: out of memory: ")
 
     def test_budget_skips_construction(self, capsys):
         code, out, err = run(

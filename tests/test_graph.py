@@ -16,7 +16,6 @@ from fjoin import (
     generate,
     parse_edge_list,
     random_graph,
-    relabel,
     render_edge_list,
 )
 from fjoin.graph import _parse_canonical, _parse_lines
@@ -363,18 +362,3 @@ class TestRandomGraph:
         assert g.m == 50
         assert g == random_graph(2000, 50, 11)
 
-
-class TestRelabel:
-    def test_preserves_degree_multiset(self):
-        g = generate("star", 5)
-        h = relabel(g, [4, 0, 1, 2, 3])
-        assert sorted(degrees(h)) == sorted(degrees(g))
-        assert degrees(h)[4] == 4
-
-    def test_identity(self):
-        g = generate("cycle", 5)
-        assert relabel(g, list(range(5))) == g
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(GraphError):
-            relabel(generate("path", 3), [0, 0, 1])

@@ -14,7 +14,6 @@ from fjoin import (
     verify_corpus,
     verify_pair,
 )
-from fjoin.harness import BENCH_CSV_HEADER
 
 TINY = CorpusConfig(
     path_sizes=(2, 4),
@@ -153,7 +152,6 @@ class TestBench:
         assert record.closed_ns > 0
 
     def test_csv_row_shape(self):
-        assert BENCH_CSV_HEADER == "n1,n2,m1,m2,closed_ns,construct_ns,feasible,equal"
         full = bench_compare(20, 20, Fraction(1, 4), seed=1)
         assert re.fullmatch(r"20,20,\d+,\d+,\d+,\d+,true,true", full.csv_row())
         skipped = bench_compare(20, 20, Fraction(1, 4), seed=1, edge_budget=5)
