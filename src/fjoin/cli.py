@@ -67,14 +67,19 @@ def _resolve_seed(flag_value: int | None, fallback: int = DEFAULT_SEED) -> int:
     return fallback
 
 
-def _write_tags(pg, path: str) -> None:
-    payload = {
-        "tags": [tag.value for tag in pg.tags],
-        "origin_edge": {str(w): list(edge) for w, edge in pg.origin_edge.items()},
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+def _emit(pg, tags_path: str | None) -> int:
+    """Write the provenance sidecar first, if asked for, then the graph, so a
+    sidecar that cannot be written leaves stdout empty."""
+    if tags_path:
+        payload = {
+            "tags": [tag.value for tag in pg.tags],
+            "origin_edge": {str(w): list(edge) for w, edge in pg.origin_edge.items()},
+        }
+        with open(tags_path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")
+    sys.stdout.write(render_edge_list(pg.graph))
+    return EXIT_OK
 
 
 def cmd_gen(args) -> int:
@@ -84,11 +89,7 @@ def cmd_gen(args) -> int:
 
 def cmd_derive(args) -> int:
     kind = DerivedKind.parse(args.kind)
-    pg = derive(kind, _read_graph(args.infile))
-    sys.stdout.write(render_edge_list(pg.graph))
-    if args.tags:
-        _write_tags(pg, args.tags)
-    return EXIT_OK
+    return _emit(derive(kind, _read_graph(args.infile)), args.tags)
 
 
 def cmd_join(args) -> int:
@@ -97,11 +98,7 @@ def cmd_join(args) -> int:
     spec = OperationSpec(DerivedKind.parse(args.kind), JoinMode.parse(args.mode))
     g1 = _read_graph(args.g1)
     g2 = _read_graph(args.g2)
-    pg = f_join(spec, g1, g2)
-    sys.stdout.write(render_edge_list(pg.graph))
-    if args.tags:
-        _write_tags(pg, args.tags)
-    return EXIT_OK
+    return _emit(f_join(spec, g1, g2), args.tags)
 
 
 def cmd_index(args) -> int:

@@ -63,8 +63,11 @@ class Graph:
             raise GraphError(f"vertex count must be nonnegative, got {self.n}")
         if not self._edges_look_canonical():
             self._check_edges()
+        # Counted under every interpreter flag, so that a vertex count too
+        # large to allocate fails here, at construction.
+        counted = self.degree_vector
         # Handshake identity, recomputed independently of the checks above.
-        assert sum(degrees(self)) == 2 * len(self.edges)
+        assert sum(counted) == 2 * len(self.edges)
 
     def _edges_look_canonical(self) -> bool:
         """The checks of :meth:`_check_edges` at builtin speed.
@@ -114,7 +117,8 @@ class Graph:
 
     @cached_property
     def degree_vector(self) -> tuple[int, ...]:
-        """Per-vertex degrees, indexed by vertex id, counted once per graph.
+        """Per-vertex degrees, indexed by vertex id, counted once per graph
+        when it is built.
 
         Cached on the instance, outside the dataclass fields, so it takes no
         part in equality, hashing or ``repr``.
@@ -233,13 +237,9 @@ def _parse_canonical(text: str) -> Graph | None:
     if not text or len(edges) != m:
         return None
     try:
-        graph = Graph(n, tuple(edges))
-        # As in _parse_lines, count degrees even under -O, so that a vertex
-        # count too large to allocate is found here.
-        graph.degree_vector
+        return Graph(n, tuple(edges))
     except (GraphError, MemoryError, OverflowError):
         return None
-    return graph
 
 
 def _parse_lines(text: str) -> Graph:
@@ -283,15 +283,11 @@ def _parse_lines(text: str) -> Graph:
     if len(edges) != header[1]:
         raise ParseError(lineno + 1, f"declared {header[1]} edges, found {len(edges)}")
     try:
-        graph = Graph.from_edges(header[0], edges)
-        # Count degrees now, even under -O where the handshake assert does
-        # not, so that a vertex count too large to allocate fails here.
-        graph.degree_vector
+        return Graph.from_edges(header[0], edges)
     except (MemoryError, OverflowError):
         raise ParseError(
             header_line, f"vertex count {header[0]} is too large to allocate"
         ) from None
-    return graph
 
 
 def render_edge_list(graph: Graph) -> str:

@@ -127,7 +127,8 @@ class PairRecord:
         return self.closed_form == self.oracle
 
     def as_dict(self) -> dict:
-        return {**vars(self), "match": self.match}
+        # By name, not vars(): asking for __dict__ would materialise it.
+        return {name: getattr(self, name) for name in (*self.__match_args__, "match")}
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,22 @@ class TestDerive:
         assert "unknown derived kind" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["derive", "--kind", "S"], ["join", "--kind", "S", "--mode", "vertex", "--g1", "p3.txt"]],
+    ids=["derive", "join"],
+)
+def test_unwritable_tags_leave_stdout_empty(capsys, tmp_path, monkeypatch, argv):
+    text = render_edge_list(generate("path", 3))
+    monkeypatch.chdir(tmp_path)
+    Path("p3.txt").write_text(text)
+    argv = [*argv, "--tags", "missing/t.json"]
+    code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("fjoin: ") and err.count("\n") == 1
+
+
 class TestJoin:
     def test_join_files(self, capsys, tmp_path):
         g1, g2 = generate("path", 3), generate("cycle", 3)

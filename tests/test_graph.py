@@ -165,13 +165,21 @@ class TestGraph:
         counted = generate("path", 3)
         assert counted.degree_vector == (1, 2, 1)
         uncounted = generate("path", 3)
-        # As under -O, where no handshake assert has counted the degrees yet.
+        # The cache dropped, as if it had never been filled.
         vars(uncounted).pop("degree_vector", None)
         assert "degree_vector" not in vars(uncounted)
         assert counted == uncounted
         assert hash(counted) == hash(uncounted)
         assert repr(counted) == repr(uncounted)
         assert degrees(uncounted) == [1, 2, 1]
+
+    def test_degrees_are_counted_at_construction(self):
+        g = Graph.from_edges(3, [(0, 1)])
+        assert "degree_vector" in vars(g)
+
+    def test_unindexable_vertex_count_fails_at_construction(self):
+        with pytest.raises(OverflowError):
+            Graph(10**20, ())
 
 
 
