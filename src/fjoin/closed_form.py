@@ -18,12 +18,11 @@ findings to report, never entries to silently fix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .derived import DerivedKind
-from .graph import GraphError, generate
+from .graph import GraphError, _indented_json, generate
 from .indices import GraphInvariants, invariants
 from .joins import JoinMode, OperationSpec
 
@@ -261,7 +260,8 @@ class AuditReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
+        """:meth:`as_dict` laid out exactly as ``json.dumps(..., indent=2)``."""
+        return _indented_json(self.as_dict())
 
 
 def audit_examples(n_max: int = 8, m_max: int = 8) -> AuditReport:
@@ -282,16 +282,15 @@ def audit_examples(n_max: int = 8, m_max: int = 8) -> AuditReport:
     results = []
     for entry in FAMILY_CASES:
         spec = entry.spec
-        points = 0
+        ns = range(entry.n_min, n_max + 1)
+        rights = [(m, factor(entry.g2_family, m)) for m in range(entry.m_min, m_max + 1)]
         mismatches = []
-        for n in range(entry.n_min, n_max + 1):
-            for m in range(entry.m_min, m_max + 1):
-                points += 1
+        for n in ns:
+            left = factor(entry.g1_family, n)
+            for m, right in rights:
                 tabulated = entry.value(n, m)
-                oracle = theorem_value(
-                    spec, factor(entry.g1_family, n), factor(entry.g2_family, m)
-                )
+                oracle = theorem_value(spec, left, right)
                 if tabulated != oracle:
                     mismatches.append(Mismatch(n, m, tabulated, oracle))
-        results.append(CaseResult(entry, points, tuple(mismatches)))
+        results.append(CaseResult(entry, len(ns) * len(rights), tuple(mismatches)))
     return AuditReport(n_max, m_max, tuple(results))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Iterable
 
@@ -88,12 +89,15 @@ class ProvenancedGraph:
         return dict(enumerate(self.source.edges, self.source.n))
 
 
+@lru_cache(maxsize=len(DerivedKind))
 def derive(kind: DerivedKind, source: Graph) -> ProvenancedGraph:
     """Build the derived graph of ``kind`` over ``source``.
 
     The three edge groups (subdivision, original, inserted-inserted) are
-    disjoint by construction, so a duplicate edge is a bug and ``Graph``
-    rejects it.
+    disjoint by construction and each pair in them is ordered, so one sort
+    makes them canonical; a duplicate edge is a bug and ``Graph`` rejects it.
+    A left factor serves several composites in turn, so the cache keeps the
+    last four derived graphs and their sources alive.
     """
     n = source.n
     inserted = list(enumerate(source.edges, n))
@@ -111,5 +115,5 @@ def derive(kind: DerivedKind, source: Graph) -> ProvenancedGraph:
             incident[u].append(w)
             incident[v].append(w)
         groups.extend(combinations(bucket, 2) for bucket in incident)
-    graph = Graph.from_edges(n + source.m, chain.from_iterable(groups))
+    graph = Graph(n + source.m, tuple(sorted(chain.from_iterable(groups))))
     return ProvenancedGraph(graph, source)

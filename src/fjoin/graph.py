@@ -7,6 +7,7 @@ graphs with the same vertex count and edge set compare equal structurally.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from dataclasses import dataclass
@@ -29,6 +30,8 @@ _CANONICAL_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
 # sre keeps backtracking state for every repetition of the group, so a single
 # match over a 300 K-edge text would hold tens of MB of it.
 _SLICE_CHARS = 1 << 16
+# The values a row may hold for _indented_json to write its list in one call.
+_JSON_SCALARS = (str, int, float, type(None))
 
 
 class GraphError(ValueError):
@@ -189,7 +192,8 @@ def parse_edge_list(text: str | bytes) -> Graph:
     """
     if isinstance(text, bytes):
         text = _decode(text)
-    graph = _parse_canonical(text)
+    # CRLF text takes the bulk path as LF; the line loop reads the original.
+    graph = _parse_canonical(text.replace("\r\n", "\n") if "\r" in text else text)
     return _parse_lines(text) if graph is None else graph
 
 
@@ -295,3 +299,31 @@ def render_edge_list(graph: Graph) -> str:
     lines = [f"{graph.n} {graph.m}"]
     lines.extend(f"{u} {v}" for u, v in graph.edges)
     return "\n".join(lines) + "\n"
+
+
+def _indented_json(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` byte for byte, for trees of dicts, lists,
+    tuples and JSON scalars; ``indent`` is a newline and ``obj``'s own indent.
+
+    ``json`` indents in pure Python, so a list of non-empty dicts of scalars
+    (a report's rows) goes through the C encoder in one call, with the field
+    indent in its separator. JSON escapes newlines inside strings, so ``},``
+    then that separator then ``{`` occurs only between rows, where one
+    ``replace`` re-indents it.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        # A key that is not a str is written as json coerces it: 1 as "1", None as "null".
+        keys = (json.dumps(k if isinstance(k, str) else json.dumps(k)) for k in obj)
+        fields = (f"{k}: {_indented_json(v, inner)}" for k, v in zip(keys, obj.values()))
+        return "{" + inner + ("," + inner).join(fields) + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if all(isinstance(row, dict) and row for row in obj) and all(
+                isinstance(v, _JSON_SCALARS) for row in obj for v in row.values()):
+            field = inner + "  "
+            rows = json.dumps(obj, separators=("," + field, ": "))[2:-2]
+            rows = rows.replace("}," + field + "{", inner + "}," + inner + "{" + field)
+            return "[" + inner + "{" + field + rows + inner + "}" + indent + "]"
+        items = (_indented_json(item, inner) for item in obj)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(obj)  # a scalar, {} or []

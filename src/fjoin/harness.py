@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .closed_form import theorem_value
-from .graph import FAMILIES, Graph, GraphError, generate, random_graph
+from .graph import FAMILIES, Graph, GraphError, _indented_json, generate, random_graph
 from .indices import f_index, invariants
 from .joins import ALL_SPECS, f_join
 
@@ -154,7 +154,8 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
+        """:meth:`as_dict` laid out exactly as ``json.dumps(..., indent=2)``."""
+        return _indented_json(self.as_dict())
 
 
 def verify_pair(g1: Graph, g2: Graph, label1: str = "g1", label2: str = "g2") -> VerificationReport:

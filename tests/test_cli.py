@@ -340,6 +340,15 @@ class TestAudit:
         assert out.encode() == (REPO_ROOT / "audit_report.json").read_bytes()
 
 
+def test_report_layout_is_json_dumps_indent_2(capsys, tmp_path):
+    config = tmp_path / "corpus.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    for argv in (["verify", "--config", str(config)], ["audit", "--n-max", "12", "--m-max", "12"]):
+        code, out, err = run(capsys, argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 class TestBench:
     def test_row_output(self, capsys):
         code, out, err = run(

@@ -117,6 +117,11 @@ def test_edgeless_source_has_no_inserted_vertices():
         assert pg.origin_edge == {}
 
 
+def test_derived_graph_is_reused_for_the_same_source():
+    g = generate("cycle", 5)
+    assert all(derive(kind, g) is derive(kind, g) for kind in DerivedKind)
+
+
 def test_provenance_needs_room_for_both_left_blocks():
     # path-3 has 3 vertices and 2 edges, so its blocks need 5 vertex ids.
     with pytest.raises(GraphError, match="cannot hold"):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import tracemalloc
 from unittest import mock
 
@@ -18,7 +19,7 @@ from fjoin import (
     random_graph,
     render_edge_list,
 )
-from fjoin.graph import _parse_canonical, _parse_lines
+from fjoin.graph import _indented_json, _parse_canonical, _parse_lines
 
 from conftest import graphs, small_numbers
 
@@ -329,6 +330,13 @@ class TestEdgeListFormat:
             assert _parse_canonical(text) is None
         assert lines.fullmatch.call_count == 1
 
+    def test_crlf_text_takes_bulk_path(self):
+        g = random_graph(5000, 20_000, 1)
+        lf = render_edge_list(g)
+        assert len(lf) > 2 * fjoin.graph._SLICE_CHARS
+        with mock.patch.object(fjoin.graph, "_parse_lines", side_effect=AssertionError):
+            assert parse_edge_list(lf.replace("\n", "\r\n")) == parse_edge_list(lf) == g
+
     def test_bulk_parse_peak_memory_is_bounded(self):
         # Measured peak over kept: about 1.3 with the text matched and split in
         # slices, 1.8 to 1.9 with one regex match over the whole text.
@@ -370,3 +378,31 @@ class TestRandomGraph:
         assert g.m == 50
         assert g == random_graph(2000, 50, 11)
 
+
+# Strings that hold JSON's own punctuation, escapes, newlines and non-ASCII
+# text, so that a row's text can look like a row boundary.
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('{},"\\: \n\r\té€'), st.characters()), max_size=6)
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _JSON_TEXT)
+# Every key type json accepts; it writes the non-str ones as text.
+_JSON_KEYS = st.one_of(_JSON_TEXT, st.integers(), st.floats(), st.booleans(), st.none())
+# Lists of flat dicts are what a report's rows look like; empty rows included.
+_JSON_ROWS = st.lists(st.dictionaries(_JSON_KEYS, _JSON_SCALARS, max_size=4), max_size=4)
+_JSON_TREES = st.recursive(
+    st.one_of(_JSON_SCALARS, _JSON_ROWS, _JSON_ROWS.map(tuple)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_JSON_KEYS, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+class TestIndentedJson:
+    @settings(max_examples=300)
+    @given(_JSON_TREES)
+    @example([{"a": "},\n      {", "b": 1}, {"c": None}])
+    @example({"rows": [{"x": '"}, {"'}, {"y": [1]}], "more": [{}, {"z": 2.5}], "": {}})
+    @example({1: [{True: 0, None: "\u00e9", 1.5: float("nan")}], False: ()})
+    def test_matches_json_dumps(self, obj):
+        assert _indented_json(obj) == json.dumps(obj, indent=2)
