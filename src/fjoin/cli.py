@@ -39,13 +39,6 @@ SEED_ENV_VAR = "FJOIN_SEED"
 DEFAULT_SEED = 42
 
 
-def _read_text(path: str | None) -> str:
-    if path is None:
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _read_graph(path: str | None):
     # Bytes, so that parse_edge_list reports undecodable input by line.
     if path is None:
@@ -112,10 +105,10 @@ def cmd_index(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    config = CorpusConfig()
     if args.config:
-        config = CorpusConfig.from_json(_read_text(args.config))
-    else:
-        config = CorpusConfig()
+        with open(args.config, encoding="utf-8") as handle:
+            config = CorpusConfig.from_json(handle.read())
     config = config.with_seed(_resolve_seed(args.seed, fallback=config.seed))
     report = verify_corpus(config)
     print(report.to_json())

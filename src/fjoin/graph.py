@@ -20,10 +20,6 @@ from typing import Iterable
 # need loops or doubled edges, and a star needs its hub and one leaf.
 FAMILIES = {"path": 1, "cycle": 3, "complete": 1, "star": 2}
 
-# Enumerating every candidate pair is exactly uniform but costs O(n^2) memory;
-# past this many pairs random_graph switches to rejection sampling.
-_SAMPLE_PAIR_LIMIT = 1_000_000
-
 # Whole lines of canonical edge-list text: two ASCII-digit fields, LF ending.
 _CANONICAL_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
 # The bulk parser matches and splits the text this many characters at a time.
@@ -158,28 +154,31 @@ def generate(family: str, n: int) -> Graph:
 
 
 def random_graph(n: int, m: int, seed: int) -> Graph:
-    """Sample a uniform simple graph with exactly ``m`` edges.
+    """Sample a simple graph with exactly ``m`` edges, uniform over the
+    ``m``-subsets of the ``C(n, 2)`` vertex pairs.
 
-    Deterministic for a fixed ``(n, m, seed)`` triple regardless of platform.
+    The sample is drawn as ranks into the pairs' canonical order, so the
+    edges are built in that order, already canonical. Deterministic for a
+    fixed ``(n, m, seed)`` triple regardless of platform; whenever
+    ``C(n, 2) <= 10**6`` it is the same graph that sampling from a list of
+    all the pairs gave.
     """
     if n < 1:
         raise GraphError(f"random graph needs n >= 1, got {n}")
     total = n * (n - 1) // 2
     if not 0 <= m <= total:
         raise GraphError(f"m={m} outside [0, {total}] for n={n}")
-    rng = random.Random(seed)
-    if total <= _SAMPLE_PAIR_LIMIT:
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        chosen: Iterable[tuple[int, int]] = rng.sample(pairs, m)
-    else:
-        picked: set[tuple[int, int]] = set()
-        while len(picked) < m:
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            if u != v:
-                picked.add((u, v) if u < v else (v, u))
-        chosen = picked
-    return Graph.from_edges(n, chosen)
+    # sample() takes len() of the range, which overflows at C(n, 2) >= 2**63,
+    # so an empty draw skips it.
+    ranks = sorted(random.Random(seed).sample(range(total), m)) if m else ()
+    edges = []
+    u, start = 0, 0  # row u holds ranks [start, start + n - 1 - u), v = u + 1 first
+    for rank in ranks:
+        while rank >= start + n - 1 - u:
+            start += n - 1 - u
+            u += 1
+        edges.append((u, rank - start + u + 1))
+    return Graph(n, tuple(edges))
 
 
 def parse_edge_list(text: str | bytes) -> Graph:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import re
@@ -260,6 +261,17 @@ class TestVerify:
         expected = verify_corpus(CorpusConfig.from_dict(TINY_CONFIG).with_seed(9))
         assert out == expected.to_json() + "\n"
 
+    def test_default_report_is_pinned(self, capsys):
+        # Criterion 7 compares two runs of one build; this pins the bytes
+        # across changes to the sampler, the oracle and the report writer.
+        code, out, err = run(capsys, ["verify", "--seed", "42"])
+        assert code == 0
+        data = out.encode("utf-8")
+        assert len(data) == 1_071_343
+        assert hashlib.sha256(data).hexdigest() == (
+            "dfc74c16f189862fe7a59329b32925361dd01e5ed792c8e42e20d7fc92e7efb5"
+        )
+
     def test_bad_env_seed_is_usage_error(self, capsys, config_file, monkeypatch):
         monkeypatch.setenv("FJOIN_SEED", "abc")
         code, out, err = run(capsys, ["verify", "--config", config_file])
@@ -405,6 +417,18 @@ class TestBench:
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("fjoin: out of memory: ")
+
+    def test_unsampleable_order_exits_3(self, capsys):
+        # C(10^12, 2) pairs: more than any index-sized integer holds, so the
+        # four sampled edges cannot be drawn.
+        code, out, err = run(
+            capsys,
+            ["bench", "--n1", "1000000000000", "--n2", "1",
+             "--density", "1/100000000000000000000000"],
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("fjoin: ")
 
     def test_budget_skips_construction(self, capsys):
         code, out, err = run(

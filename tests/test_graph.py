@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import tracemalloc
 from unittest import mock
 
@@ -353,7 +354,37 @@ class TestEdgeListFormat:
         assert peak < 1.5 * kept
 
 
+def reference_random_graph(n, m, seed):
+    """The pair-list sampler: draw ``m`` of the enumerated pairs, then sort.
+    ``random_graph`` must give the same graph by unranking sampled indices."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, random.Random(seed).sample(pairs, m))
+
+
+@st.composite
+def sampler_args(draw):
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(0, n * (n - 1) // 2))
+    return n, m, draw(st.integers())
+
+
 class TestRandomGraph:
+    @given(sampler_args())
+    @example((1, 0, 0))
+    @example((40, 0, 3))
+    @example((40, 780, 3))  # every pair
+    def test_matches_pair_list_sampler(self, args):
+        assert random_graph(*args) == reference_random_graph(*args)
+
+    def test_matches_pair_list_sampler_at_largest_list(self):
+        # 998,991 pairs: the largest order the pair list served. The
+        # reference alone takes longer than Hypothesis's deadline.
+        assert random_graph(1414, 1000, 5) == reference_random_graph(1414, 1000, 5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17])
+    def test_every_pair_is_the_complete_graph(self, n):
+        assert random_graph(n, n * (n - 1) // 2, 9) == generate("complete", n)
+
     def test_deterministic(self):
         assert random_graph(9, 12, 7) == random_graph(9, 12, 7)
 
@@ -373,7 +404,7 @@ class TestRandomGraph:
             random_graph(3, -1, 1)
 
     def test_rejection_sampling_regime(self):
-        # 2000 vertices exceeds the pair-enumeration limit.
+        # 2000 vertices: more pairs than the pair-list sampler ever enumerated.
         g = random_graph(2000, 50, 11)
         assert g.m == 50
         assert g == random_graph(2000, 50, 11)
