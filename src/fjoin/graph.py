@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, starmap
@@ -168,8 +169,13 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
     total = n * (n - 1) // 2
     if not 0 <= m <= total:
         raise GraphError(f"m={m} outside [0, {total}] for n={n}")
-    # sample() takes len() of the range, which overflows at C(n, 2) >= 2**63,
-    # so an empty draw skips it.
+    # sample() takes len() of the range, which overflows past sys.maxsize,
+    # so an empty draw skips it and any other draw is refused by name.
+    if m and total > sys.maxsize:
+        raise OverflowError(
+            f"random graph on n={n} vertices has {total} vertex pairs, "
+            f"more than random.sample can index ({sys.maxsize})"
+        )
     ranks = sorted(random.Random(seed).sample(range(total), m)) if m else ()
     edges = []
     u, start = 0, 0  # row u holds ranks [start, start + n - 1 - u), v = u + 1 first

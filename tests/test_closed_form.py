@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import re
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -18,8 +23,23 @@ from fjoin import (
     invariants,
     theorem_value,
 )
+from fjoin import closed_form
+from fjoin.closed_form import (
+    AuditReport,
+    CaseResult,
+    GraphInvariants,
+    Mismatch,
+    _at,
+    _differences,
+    _fit,
+    _M,
+    _N,
+    _Poly,
+)
 
 from conftest import graphs
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_pinned_pair_values(p3, p4):
@@ -131,3 +151,121 @@ class TestAudit:
 
 def entry_in_grid(entry, n, m, n_max, m_max):
     return entry.n_min <= n <= n_max and entry.m_min <= m <= m_max
+
+
+def pointwise_audit(n_max: int = 8, m_max: int = 8) -> AuditReport:
+    """The audit as it was before the identity check: every grid point is
+    evaluated on both sides. Kept verbatim as the reference."""
+    cache: dict[tuple[str, int], GraphInvariants] = {}
+
+    def factor(family: str, size: int) -> GraphInvariants:
+        key = (family, size)
+        if key not in cache:
+            cache[key] = invariants(generate(family, size))
+        return cache[key]
+
+    results = []
+    for entry in FAMILY_CASES:
+        spec = entry.spec
+        ns = range(entry.n_min, n_max + 1)
+        rights = [(m, factor(entry.g2_family, m)) for m in range(entry.m_min, m_max + 1)]
+        mismatches = []
+        for n in ns:
+            left = factor(entry.g1_family, n)
+            for m, right in rights:
+                tabulated = entry.value(n, m)
+                oracle = theorem_value(spec, left, right)
+                if tabulated != oracle:
+                    mismatches.append(Mismatch(n, m, tabulated, oracle))
+        results.append(CaseResult(entry, len(ns) * len(rights), tuple(mismatches)))
+    return AuditReport(n_max, m_max, tuple(results))
+
+
+def family_fits():
+    return {
+        family: _fit(invariants(generate(family, 3)), invariants(generate(family, 4)))
+        for family in ("path", "cycle")
+    }
+
+
+def difference_terms():
+    """Each table entry's difference polynomial, keyed by its label."""
+    differences = _differences(tuple(family_fits().items()))
+    return {entry.label: diff.terms for entry, diff in zip(FAMILY_CASES, differences)}
+
+
+class TestIdentityAudit:
+    @pytest.mark.parametrize("n_max", range(13))
+    def test_matches_pointwise_audit_byte_for_byte(self, n_max):
+        # Empty grids, grids holding only path order 2 and grids that stop
+        # below the fit's order 4 are all in range.
+        for m_max in range(13):
+            assert audit_examples(n_max, m_max).to_json() == pointwise_audit(n_max, m_max).to_json()
+
+    def test_points_outside_the_linear_region_are_checked(self, monkeypatch):
+        # Skew F of every order-2 bundle. Only path order 2 changes, so the
+        # fits and the differences stand; its rows and columns must still be
+        # checked point by point, and they now disagree.
+        real = invariants
+
+        def skewed(graph):
+            bundle = real(graph)
+            return replace(bundle, F=bundle.F + 1) if graph.n == 2 else bundle
+
+        monkeypatch.setattr(closed_form, "invariants", skewed)
+        monkeypatch.setattr(sys.modules[__name__], "invariants", skewed)
+        report = audit_examples(5, 5)
+        assert report.to_json() == pointwise_audit(5, 5).to_json()
+        skewed_case = next(r for r in report.results if r.case.label == "1.i")
+        assert skewed_case.mismatches
+        assert all(2 in (miss.n, miss.m) for miss in skewed_case.mismatches)
+
+    def test_linear_region_starts_at_order_3(self):
+        fits = family_fits()
+        for family, fit in fits.items():
+            for order in range(3, 25):
+                assert _at(fit, order) == invariants(generate(family, order))
+        assert _at(fits["path"], 2) != invariants(generate("path", 2))
+
+    def test_readme_findings_are_the_difference_polynomials(self):
+        # Each row is a polynomial identity for n, m >= 3 (the linear region).
+        text = README.read_text().split("## Tabulated family specializations: findings")[1]
+        rows = re.findall(r"^\| (\d)\.([iv]+) \| [^|]+ \| [^|]+ \| `([^`]+)` \|$", text, re.M)
+        assert len(rows) == 7
+        tabulated = {}
+        for example, case, cell in rows:
+            expr = re.sub(r"([\w)])(?=[a-z(])", r"\1*", cell.replace("^", "**"))
+            tabulated[f"{example}.{case}"] = (_Poly([]) + eval(expr, {"n": _N, "m": _M})).terms
+        differences = difference_terms()
+        assert len(differences) == 32
+        for label, terms in differences.items():
+            assert terms == tabulated.get(label, {}), label
+
+
+class TestPolyRing:
+    def test_arithmetic_with_ints_on_either_side(self):
+        assert ((_N + 2) ** 2 - _N * _N).terms == {(1, 0): 4, (0, 0): 4}
+        assert (3 - _M * 2).terms == {(0, 0): 3, (0, 1): -2}
+        assert (-(_N - _N)).terms == {}
+        assert (_N**0).terms == {(0, 0): 1}
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda p: p == p,
+            lambda p: bool(p),
+            lambda p: p < p,
+            lambda p: p / 2,
+            lambda p: p // 2,
+            lambda p: p % 2,
+            lambda p: p + 1.5,
+            lambda p: 1.5 * p,
+            lambda p: p ** -1,
+            lambda p: p**p,
+            lambda p: hash(p),
+            lambda p: int(p),
+        ],
+    )
+    def test_every_other_operation_raises(self, operation):
+        with pytest.raises(TypeError):
+            operation(_N)

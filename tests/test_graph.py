@@ -403,6 +403,12 @@ class TestRandomGraph:
         with pytest.raises(GraphError):
             random_graph(3, -1, 1)
 
+    def test_unsampleable_pair_count_is_overflow(self):
+        # C(10^12, 2) is past sys.maxsize, which random.sample cannot index;
+        # the error names the order and the pair count before any allocation.
+        with pytest.raises(OverflowError, match="n=1000000000000 .* 499999999999500000000000 vertex pairs"):
+            random_graph(10**12, 4, 1)
+
     def test_rejection_sampling_regime(self):
         # 2000 vertices: more pairs than the pair-list sampler ever enumerated.
         g = random_graph(2000, 50, 11)
