@@ -13,8 +13,8 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, starmap
-from operator import itemgetter, lt
+from itertools import chain
+from operator import lt
 from typing import Iterable
 
 # The named families and the least order each exists at: shorter cycles would
@@ -61,31 +61,38 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {self.n}")
-        if not self._edges_look_canonical():
+        if not self._count_if_canonical():
             self._check_edges()
         # Counted under every interpreter flag, so that a vertex count too
         # large to allocate fails here, at construction.
         counted = self.degree_vector
-        # Handshake identity, recomputed independently of the checks above.
+        # Handshake identity: every edge was counted at both ends.
         assert sum(counted) == 2 * len(self.edges)
 
-    def _edges_look_canonical(self) -> bool:
-        """The checks of :meth:`_check_edges` at builtin speed.
+    def _count_if_canonical(self) -> bool:
+        """The checks of :meth:`_check_edges` and the degree count in one pass.
 
-        Each pair ascends, the tuple strictly ascends (so no duplicates),
-        the first endpoint is nonnegative and the largest second endpoint is
-        below ``n``. False, never an exception, when any check fails or
-        cannot be made; the caller then finds the fault the slow way.
+        True, with ``degree_vector`` filled in, when the first endpoint is
+        nonnegative, each pair ascends, the tuple strictly ascends (so no
+        duplicates) and every endpoint indexes the ``n`` counts. False, never
+        an exception, when any check fails or cannot be made.
         """
         edges = self.edges
         try:
-            return (
-                all(starmap(lt, edges))
-                and all(map(lt, edges, islice(edges, 1, None)))
-                and (not edges or (edges[0][0] >= 0 and max(map(itemgetter(1), edges)) < self.n))
-            )
+            out = [0] * self.n
+            if edges and edges[0][0] < 0:
+                return False
+            pu = pv = -1
+            for u, v in edges:
+                if not (u < v and (pu < u or (pu == u and pv < v))):
+                    return False
+                out[u] += 1
+                out[v] += 1
+                pu, pv = u, v
         except Exception:  # any failure at all is left to _check_edges to report
             return False
+        vars(self)["degree_vector"] = tuple(out)
+        return True
 
     def _check_edges(self) -> None:
         """Walk the edges one at a time and raise on the first fault found."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import chain
 
 from .graph import Graph, GraphError
 
@@ -46,10 +45,14 @@ class GraphInvariants:
         return json.dumps(self.as_dict())
 
 
-def power_sum(graph: Graph, a: int) -> int:
-    """Sum of ``deg(v) ** a`` over vertices; a=2, 3, 4 give M1, F, M4."""
+def _check_power(a: int) -> None:
     if not 1 <= a <= MAX_POWER:
         raise GraphError(f"power must be in [1, {MAX_POWER}], got {a}")
+
+
+def power_sum(graph: Graph, a: int) -> int:
+    """Sum of ``deg(v) ** a`` over vertices; a=2, 3, 4 give M1, F, M4."""
+    _check_power(a)
     value = sum(d**a for d in graph.degree_vector)
     assert value == power_sum_edge_form(graph, a)
     return value
@@ -65,10 +68,9 @@ def power_sum_edge_form(graph: Graph, a: int) -> int:
     Equals :func:`power_sum` for the same ``a``: each vertex is hit once per
     incident edge, collecting deg(v) copies of ``deg(v) ** (a-1)``.
     """
-    if not 1 <= a <= MAX_POWER:
-        raise GraphError(f"power must be in [1, {MAX_POWER}], got {a}")
+    _check_power(a)
     powered = [d ** (a - 1) for d in graph.degree_vector]
-    return sum(map(powered.__getitem__, chain.from_iterable(graph.edges)))
+    return sum(powered[u] + powered[v] for u, v in graph.edges)
 
 
 def first_zagreb(graph: Graph) -> int:

@@ -26,7 +26,7 @@ from conftest import graphs, small_numbers
 
 
 def reference_validate(n, edges):
-    """Graph validation as one plain loop: the reference the builtin checks
+    """Graph validation as one plain loop: the reference the one-pass check
     in ``Graph.__post_init__`` must agree with, exception and message alike."""
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
@@ -47,7 +47,18 @@ def reference_validate(n, edges):
         previous = (u, v)
 
 
-_entries = st.integers(min_value=-2, max_value=7)
+def reference_degrees(n, edges):
+    """The degree count as one plain loop, run after :func:`reference_validate`."""
+    out = [0] * n
+    for u, v in edges:
+        out[u] += 1
+        out[v] += 1
+    return tuple(out)
+
+
+# Mostly ints. Floats and bools compare like ints, but only a bool indexes a list.
+_ints = st.integers(min_value=-2, max_value=7)
+_entries = st.one_of(_ints, _ints, st.floats(min_value=-2, max_value=7), st.booleans())
 _pairs = st.tuples(_entries, _entries)
 # Mostly pairs, some of the wrong arity.
 _edges = st.one_of(_pairs, _pairs, st.lists(_entries, max_size=3).map(tuple))
@@ -146,15 +157,24 @@ class TestGraph:
 
     @settings(max_examples=400)
     @given(st.integers(min_value=0, max_value=6), st.one_of(_edge_tuples, _sorted_edge_tuples))
+    @example(n=2, edges=((-1, 0),))  # ascends from the one pass's (-1, -1) start
+    @example(n=3, edges=((0, 3),))
+    @example(n=3, edges=((0, 1), (0, 2), (0, 1)))  # the ascent breaks at the duplicate
+    @example(n=3, edges=((0, 2), (0, 1), (0, 2)))  # the ascent breaks before it
+    @example(n=3, edges=((0, 1), (0, 1)))
+    @example(n=3, edges=((0.0, 1), (1, 2.0)))
     def test_validation_matches_reference_loop(self, n, edges):
         try:
             reference_validate(n, edges)
+            counted = reference_degrees(n, edges)
         except Exception as exc:
             with pytest.raises(type(exc)) as excinfo:
                 Graph(n, edges)
             assert str(excinfo.value) == str(exc)
         else:
-            assert Graph(n, edges).edges == edges
+            g = Graph(n, edges)
+            assert g.edges == edges
+            assert g.degree_vector == counted
 
     def test_degrees_returns_a_fresh_list(self):
         g = generate("star", 4)
@@ -182,6 +202,9 @@ class TestGraph:
     def test_unindexable_vertex_count_fails_at_construction(self):
         with pytest.raises(OverflowError):
             Graph(10**20, ())
+        # A faulty edge is still reported before the count fails.
+        with pytest.raises(GraphError, match="not in"):
+            Graph(10**20, ((1, 0),))
 
 
 

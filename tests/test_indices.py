@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fjoin import (
+    ALL_SPECS,
     Graph,
     GraphError,
     GraphInvariants,
     f_index,
+    f_join,
+    family_corpus,
     first_zagreb,
     general_first_zagreb,
     generate,
@@ -18,6 +22,7 @@ from fjoin import (
     power_sum,
     power_sum_edge_form,
 )
+from fjoin.indices import MAX_POWER
 
 from conftest import graphs
 
@@ -63,6 +68,32 @@ def test_edgeless_graph_is_all_zero():
 @given(graphs(), st.integers(min_value=1, max_value=8))
 def test_vertex_and_edge_power_sums_agree(g, a):
     assert power_sum(g, a) == power_sum_edge_form(g, a)
+
+
+def reference_edge_form(graph, a):
+    """The edge-form sum as a builtin pipeline over the flattened edges."""
+    powered = [d ** (a - 1) for d in graph.degree_vector]
+    return sum(map(powered.__getitem__, chain.from_iterable(graph.edges)))
+
+
+def assert_edge_form_matches_reference(g):
+    for a in range(1, MAX_POWER + 1):
+        assert power_sum_edge_form(g, a) == reference_edge_form(g, a)
+
+
+def _composites():
+    corpus = dict(family_corpus())
+    return [f_join(spec, corpus["cycle-8"], corpus["complete-5"]).graph for spec in ALL_SPECS]
+
+
+@pytest.mark.parametrize("g", [Graph(0, ()), *_composites()], ids=["empty", *map(str, ALL_SPECS)])
+def test_edge_form_matches_builtin_reference(g):
+    assert_edge_form_matches_reference(g)
+
+
+@given(graphs(min_n=0))
+def test_edge_form_matches_builtin_reference_on_any_graph(g):
+    assert_edge_form_matches_reference(g)
 
 
 @given(graphs())
