@@ -12,7 +12,6 @@ import random
 import re
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from operator import lt
 from typing import Iterable
@@ -52,7 +51,9 @@ class Graph:
 
     ``edges`` must already be canonical: each pair sorted, no loops, no
     duplicates, the whole tuple in ascending order. Use :meth:`from_edges`
-    to build from arbitrary pair iterables.
+    to build from arbitrary pair iterables. ``degree_vector``, the degrees
+    by vertex id, is counted once at construction and is not a dataclass
+    field, so it takes no part in equality, hashing or ``repr``.
     """
 
     n: int
@@ -61,38 +62,34 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {self.n}")
-        if not self._count_if_canonical():
+        try:
+            counted = self._count()
+        except Exception:
+            # The slow walk names the first fault; if it finds none, the
+            # count's own error (a float endpoint, an unallocatable n) stands.
             self._check_edges()
-        # Counted under every interpreter flag, so that a vertex count too
-        # large to allocate fails here, at construction.
-        counted = self.degree_vector
+            counted = self._count()
+        object.__setattr__(self, "degree_vector", counted)
         # Handshake identity: every edge was counted at both ends.
         assert sum(counted) == 2 * len(self.edges)
 
-    def _count_if_canonical(self) -> bool:
-        """The checks of :meth:`_check_edges` and the degree count in one pass.
-
-        True, with ``degree_vector`` filled in, when the first endpoint is
-        nonnegative, each pair ascends, the tuple strictly ascends (so no
-        duplicates) and every endpoint indexes the ``n`` counts. False, never
-        an exception, when any check fails or cannot be made.
-        """
+    def _count(self) -> tuple[int, ...]:
+        """The checks of :meth:`_check_edges` and the degree count in one pass:
+        the degrees when the first endpoint is nonnegative, each pair ascends,
+        the tuple strictly ascends (so no duplicates) and every endpoint
+        indexes the ``n`` counts, else an exception."""
         edges = self.edges
-        try:
-            out = [0] * self.n
-            if edges and edges[0][0] < 0:
-                return False
-            pu = pv = -1
-            for u, v in edges:
-                if not (u < v and (pu < u or (pu == u and pv < v))):
-                    return False
-                out[u] += 1
-                out[v] += 1
-                pu, pv = u, v
-        except Exception:  # any failure at all is left to _check_edges to report
-            return False
-        vars(self)["degree_vector"] = tuple(out)
-        return True
+        out = [0] * self.n
+        if edges and edges[0][0] < 0:
+            raise GraphError("edge tuple is not canonical")
+        pu = pv = -1
+        for u, v in edges:
+            if not (u < v and (pu < u or (pu == u and pv < v))):
+                raise GraphError("edge tuple is not canonical")
+            out[u] += 1
+            out[v] += 1
+            pu, pv = u, v
+        return tuple(out)
 
     def _check_edges(self) -> None:
         """Walk the edges one at a time and raise on the first fault found."""
@@ -122,20 +119,6 @@ class Graph:
         canonical = sorted((u, v) if u <= v else (v, u) for u, v in edges)
         return cls(n, tuple(canonical))
 
-    @cached_property
-    def degree_vector(self) -> tuple[int, ...]:
-        """Per-vertex degrees, indexed by vertex id, counted once per graph
-        when it is built.
-
-        Cached on the instance, outside the dataclass fields, so it takes no
-        part in equality, hashing or ``repr``.
-        """
-        out = [0] * self.n
-        for u, v in self.edges:
-            out[u] += 1
-            out[v] += 1
-        return tuple(out)
-
 
 def degrees(graph: Graph) -> list[int]:
     """Per-vertex degree list, indexed by vertex id; a fresh list each call."""
@@ -149,6 +132,9 @@ def generate(family: str, n: int) -> Graph:
         raise GraphError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
     if n < FAMILIES[family]:
         raise GraphError(f"{family} needs n >= {FAMILIES[family]}, got {n}")
+    # Allocate the n degree counts that Graph needs before any edge, so that
+    # an n too large to allocate fails here, not once the edges fill memory.
+    [0] * n
     if family == "path":
         edges = [(i, i + 1) for i in range(n - 1)]
     elif family == "cycle":

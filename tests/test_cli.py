@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fjoin import (
+    FAMILIES,
     CorpusConfig,
     DerivedKind,
     derive,
@@ -89,6 +90,19 @@ class TestGen:
         with pytest.raises(SystemExit) as excinfo:
             main(["gen", "--family", "wheel", "--n", "3"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize(
+        "n, message",
+        [("100000000000000000000", "fjoin: overflow: "), ("1000000000000", "fjoin: out of memory: ")],
+        ids=["unindexable", "unallocatable"],
+    )
+    def test_unbuildable_order_exits_3(self, capsys, family, n, message):
+        # The n degree counts are requested before any edge is built.
+        code, out, err = run(capsys, ["gen", "--family", family, "--n", n])
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(message)
 
 
 class TestDerive:
@@ -295,6 +309,13 @@ class TestVerify:
             pytest.param('{"seed": true}', "must be an integer", id="seed-bool"),
             pytest.param(
                 "[" * 100_000 + "]" * 100_000, "nested too deeply", id="nested-too-deep"
+            ),
+            pytest.param(
+                '{"random_trials": -1}', "random_trials must be nonnegative", id="trials-negative"
+            ),
+            pytest.param('{"max_random_n": 0}', "max_random_n must be positive", id="max-n-zero"),
+            pytest.param(
+                '{"max_random_m": -1}', "max_random_m must be nonnegative", id="max-m-negative"
             ),
         ],
     )

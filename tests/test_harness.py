@@ -151,6 +151,17 @@ class TestBench:
         assert record.equal is None
         assert record.closed_ns > 0
 
+    def test_memory_error_in_construction_downgrades_to_infeasible(self, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("fjoin.harness.f_join", exhausted)
+        record = bench_compare(20, 20, Fraction(1, 4), seed=1)
+        assert record.feasible is False
+        assert record.construct_ns is None
+        assert record.equal is None
+        assert record.closed_ns > 0
+
     def test_csv_row_shape(self):
         full = bench_compare(20, 20, Fraction(1, 4), seed=1)
         assert re.fullmatch(r"20,20,\d+,\d+,\d+,\d+,true,true", full.csv_row())
