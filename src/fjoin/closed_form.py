@@ -34,7 +34,7 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from .derived import DerivedKind
-from .graph import GraphError, _indented_json, generate
+from .graph import GraphError, _Report, generate
 from .indices import GraphInvariants, invariants
 from .joins import JoinMode, OperationSpec
 
@@ -237,7 +237,7 @@ class CaseResult:
             return "empty"
         return "verified" if self.verified else "mismatch"
 
-    def as_dict(self) -> dict:
+    def _tree(self, rows) -> dict:
         """The case's fields but its polynomial, then the grid outcome."""
         row = dict(vars(self.case))
         del row["value"]
@@ -245,12 +245,12 @@ class CaseResult:
             **row,
             "points": self.points,
             "verdict": self.verdict,
-            "mismatches": [miss._asdict() for miss in self.mismatches],
+            "mismatches": rows(Mismatch._fields, self.mismatches),
         }
 
 
 @dataclass(frozen=True)
-class AuditReport:
+class AuditReport(_Report):
     n_max: int
     m_max: int
     results: tuple[CaseResult, ...]
@@ -259,21 +259,17 @@ class AuditReport:
     def mismatched_cases(self) -> tuple[CaseResult, ...]:
         return tuple(result for result in self.results if result.mismatches)
 
-    def as_dict(self) -> dict:
+    def _tree(self, rows) -> dict:
         return {
             "n_max": self.n_max,
             "m_max": self.m_max,
-            "cases": [result.as_dict() for result in self.results],
+            "cases": [result._tree(rows) for result in self.results],
             "summary": {
                 "cases": len(self.results),
                 "verified": sum(1 for r in self.results if r.verified),
                 "mismatched": len(self.mismatched_cases),
             },
         }
-
-    def to_json(self) -> str:
-        """:meth:`as_dict` laid out exactly as ``json.dumps(..., indent=2)``."""
-        return _indented_json(self.as_dict())
 
 
 class _Poly:

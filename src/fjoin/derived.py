@@ -54,6 +54,10 @@ class VertexTag(str, Enum):
     ORIGINAL_G2 = "original_g2"
 
 
+# The tags in block order, read once: iterating an Enum is slow.
+_BLOCKS = tuple(VertexTag)
+
+
 @dataclass(frozen=True)
 class ProvenancedGraph:
     """A derived graph or join composite together with its left factor.
@@ -77,7 +81,7 @@ class ProvenancedGraph:
     def ids(self, tag: VertexTag) -> tuple[int, ...]:
         """All vertex ids carrying ``tag``, ascending; blocks follow tag order."""
         cuts = (0, self.source.n, self.source.n + self.source.m, self.graph.n)
-        block = list(VertexTag).index(tag)
+        block = _BLOCKS.index(tag)
         return tuple(range(cuts[block], cuts[block + 1]))
 
     @property

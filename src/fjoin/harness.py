@@ -15,9 +15,10 @@ import random
 import time
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from operator import attrgetter
 
 from .closed_form import theorem_value
-from .graph import FAMILIES, Graph, GraphError, _indented_json, generate, random_graph
+from .graph import FAMILIES, Graph, GraphError, _Report, generate, random_graph
 from .indices import f_index, invariants
 from .joins import ALL_SPECS, f_join
 
@@ -128,11 +129,14 @@ class PairRecord:
 
     def as_dict(self) -> dict:
         # By name, not vars(): asking for __dict__ would materialise it.
-        return {name: getattr(self, name) for name in (*self.__match_args__, "match")}
+        return {name: getattr(self, name) for name in _PAIR_KEYS}
+
+
+_PAIR_KEYS = (*PairRecord.__match_args__, "match")
 
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Report):
     records: tuple[PairRecord, ...]
 
     @property
@@ -147,15 +151,11 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.mismatches
 
-    def as_dict(self) -> dict:
+    def _tree(self, rows) -> dict:
         return {
-            "records": [record.as_dict() for record in self.records],
+            "records": rows(_PAIR_KEYS, list(map(attrgetter(*_PAIR_KEYS), self.records))),
             "summary": {"total": self.total, "mismatches": len(self.mismatches)},
         }
-
-    def to_json(self) -> str:
-        """:meth:`as_dict` laid out exactly as ``json.dumps(..., indent=2)``."""
-        return _indented_json(self.as_dict())
 
 
 def verify_pair(g1: Graph, g2: Graph, label1: str = "g1", label2: str = "g2") -> VerificationReport:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 import sys
 from dataclasses import replace
@@ -127,6 +128,15 @@ class TestFamilyTable:
 
 
 class TestAudit:
+    @pytest.mark.parametrize("size", [12, 0])
+    def test_json_is_stdlib_layout_of_as_dict(self, size):
+        # to_json writes the mismatches from their tuples and as_dict builds
+        # them as dicts; at 0 x 0 every list is empty and every verdict empty.
+        report = audit_examples(size, size)
+        assert report.to_json() == json.dumps(report.as_dict(), indent=2)
+        assert any(r.mismatches for r in report.results) == bool(size)
+        assert all(r.verdict == "empty" for r in report.results) == (not size)
+
     def test_grid_respects_floors_and_limits(self):
         report = audit_examples(6, 7)
         assert report.n_max == 6 and report.m_max == 7

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 
@@ -133,6 +134,12 @@ class TestVerifyCorpus:
         labels = {record.g1 for record in report.records}
         assert "path-2" in labels
         assert "random-000-a" in labels
+
+    def test_json_is_stdlib_layout_of_as_dict(self):
+        # to_json writes the records from their tuples (str, int and bool
+        # columns) and as_dict builds them as dicts; json must agree on both.
+        report = verify_corpus(TINY)
+        assert report.to_json() == json.dumps(report.as_dict(), indent=2)
 
 
 class TestBench:
