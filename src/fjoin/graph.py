@@ -13,7 +13,7 @@ import re
 import sys
 from dataclasses import dataclass
 from itertools import chain
-from operator import lt
+from operator import le, lt
 from typing import Iterable, NamedTuple, Sequence
 
 # The named families and the least order each exists at: shorter cycles would
@@ -209,9 +209,9 @@ def _parse_canonical(text: str) -> Graph | None:
     comments or blank lines, one ``u v`` line of ASCII digits per edge with
     ``u < v``, and the edges in strictly ascending order. Every text this
     accepts, :func:`_parse_lines` accepts as the same graph; on None it
-    decides the verdict and any error message itself. Each slice is checked
-    as soon as it is split, so text that is not canonical early on costs
-    one slice here, not the whole text.
+    decides the verdict and any error message itself. Each slice's format and
+    pair order are screened as soon as it is read, so text not canonical early
+    on costs one slice; a repeat, or a falling second endpoint, is left to Graph.
     """
     edges: list[tuple[int, int]] = []
     start = 0
@@ -220,19 +220,18 @@ def _parse_canonical(text: str) -> Graph | None:
         chunk = text[start:end]
         if not chunk or _CANONICAL_LINES.fullmatch(chunk) is None:
             return None
-        try:
-            ints = list(map(int, chunk.split()))
-        except ValueError:  # a field past the interpreter's int digit limit
+        try:  # JSON makes the ints without a str per field
+            ints = json.loads("[" + chunk[:-1].replace(" ", ",").replace("\n", ",") + "]")
+        except ValueError:  # a leading zero, or a field past the int digit limit
             return None
         if not start:
             n, m = ints[:2]
             del ints[:2]
         us, vs = ints[0::2], ints[1::2]
-        pairs = list(zip(us, vs))
-        previous = edges[-1] if edges else (-1, -1)  # below every pair
-        if not (all(map(lt, us, vs)) and all(map(lt, chain((previous,), pairs), pairs))):
+        last_u = edges[-1][0] if edges else 0  # no first endpoint is below 0
+        if not (all(map(lt, us, vs)) and all(map(le, chain((last_u,), us), us))):
             return None
-        edges += pairs
+        edges += zip(us, vs)
         start = end
     if not text or len(edges) != m:
         return None
@@ -337,8 +336,10 @@ def _indented_json(obj, indent: str = "\n") -> str:
         field = inner + "  "
         keys = (_json_key(key).replace("%", "%%") + ": %s" for key in obj.keys)
         row = "{" + field + ("," + field).join(keys) + inner + "}" if obj.keys else "{}"
-        columns = [_json_column(column, field) for column in zip(*obj.tuples)]
-        rows = map(row.__mod__, zip(*columns) if columns else obj.tuples)  # no keys: "{}" % ()
+        columns = list(zip(*obj.tuples))
+        written = [_json_column(column, field) for column in columns]
+        # Columns all written as they are (or no keys: "{}" % ()) are the rows.
+        rows = map(row.__mod__, obj.tuples if written == columns else zip(*written))
         return "[" + inner + ("," + inner).join(rows) + indent + "]"
     if isinstance(obj, dict) and obj:
         fields = (f"{_json_key(k)}: {_indented_json(v, inner)}" for k, v in obj.items())

@@ -127,10 +127,6 @@ class PairRecord:
     def match(self) -> bool:
         return self.closed_form == self.oracle
 
-    def as_dict(self) -> dict:
-        # By name, not vars(): asking for __dict__ would materialise it.
-        return {name: getattr(self, name) for name in _PAIR_KEYS}
-
 
 _PAIR_KEYS = (*PairRecord.__match_args__, "match")
 

@@ -331,6 +331,9 @@ class TestEdgeListFormat:
     @example("2 1\n0\x1c1\n", 40)  # a separator splitlines breaks at
     @example("2 1\n0 1", 40)  # no final newline
     @example("1" * 5000 + " 0\n", 40)  # past int()'s default digit limit on 3.11
+    @example("3 2\n00 01\n01 02\n", 40)  # leading zeros, which JSON refuses
+    @example("03 2\n0 1\n1 2\n", 4)  # a leading zero in the header only
+    @example("3 2\n0 1\n1 02\n", 4)  # a leading zero past the first slice
     def test_bulk_parse_matches_line_loop(self, text, slice_chars):
         expected = _parse_outcome(_parse_lines, text)
         assert _parse_outcome(parse_edge_list, text) == expected
@@ -345,7 +348,7 @@ class TestEdgeListFormat:
         with mock.patch.object(fjoin.graph, "_SLICE_CHARS", slice_chars):
             assert _parse_canonical(render_edge_list(g)) == g
 
-    @pytest.mark.parametrize("edit", ["unsorted", "reversed", "crlf"])
+    @pytest.mark.parametrize("edit", ["unsorted", "reversed", "crlf", "leading-zero"])
     def test_bulk_parse_gives_up_in_first_slice(self, edit):
         # A star's lines still ascend once reversed, so only the pair-order
         # check can turn them away.
@@ -355,6 +358,8 @@ class TestEdgeListFormat:
             body.reverse()
         elif edit == "reversed":
             body = [" ".join(reversed(line.split())) for line in body]
+        elif edit == "leading-zero":
+            body[0] = "0" + body[0]
         end = "\r\n" if edit == "crlf" else "\n"
         text = end.join([header, *body]) + end
         with mock.patch.object(
@@ -362,6 +367,32 @@ class TestEdgeListFormat:
         ) as lines:
             assert _parse_canonical(text) is None
         assert lines.fullmatch.call_count == 1
+
+    @pytest.mark.parametrize("fault", ["duplicate", "falling"])
+    def test_late_fault_matches_line_loop(self, fault):
+        # The slice screen passes a repeated edge and a falling second
+        # endpoint under one first endpoint; only Graph, at the end, sees them.
+        g = random_graph(5000, 20_000, 1)
+        header, *body = render_edge_list(g).splitlines()
+        # The last two lines that share a first endpoint.
+        firsts = [line.split()[0] for line in body]
+        i = next(i for i in range(len(body) - 1, 0, -1) if firsts[i - 1] == firsts[i])
+        if fault == "duplicate":
+            body[i] = body[i - 1]
+        else:
+            body[i - 1], body[i] = body[i], body[i - 1]
+        text = "\n".join([header, *body]) + "\n"
+        assert len("\n".join(body[:i])) > 2 * fjoin.graph._SLICE_CHARS
+        with mock.patch.object(
+            fjoin.graph, "_CANONICAL_LINES", wraps=fjoin.graph._CANONICAL_LINES
+        ) as lines:
+            outcome = _parse_outcome(parse_edge_list, text)
+        assert lines.fullmatch.call_count > 2  # the bulk path reached the fault's slice
+        assert outcome == _parse_outcome(_parse_lines, text)
+        if fault == "duplicate":
+            assert outcome == (f"line {i + 2}: duplicate edge {g.edges[i - 1]}", i + 2)
+        else:
+            assert outcome == g
 
     def test_crlf_text_takes_bulk_path(self):
         g = random_graph(5000, 20_000, 1)
