@@ -15,23 +15,24 @@ every table entry on a grid of constructed operands and reports where the
 tabulated polynomial disagrees with the closed form. Disagreements are
 findings to report, never entries to silently fix.
 
-The audit settles most of the grid by one polynomial identity per entry.
+The audit settles most of the grid by one difference polynomial per entry.
 Every bundle field of a path or cycle is linear in its order over the
 family's *linear region* (every order but path order 2), so both the
 tabulated polynomial and :func:`theorem_value` run unchanged over a small
-ring of integer polynomials in (n, m). Where their difference is zero,
-every grid point with both orders in the region matches without being
-evaluated; the remaining points, and every point of an entry whose
-difference is nonzero, are checked one by one.
+ring of integer polynomials in (n, m). Every grid point with both orders
+in the region is settled by their difference: it matches where the
+difference is zero, and is reported where it is not, with both values
+read off the polynomials a row at a time. Only the remaining points (path
+order 2 rows and columns) are checked one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from functools import lru_cache, reduce
-from itertools import chain
-from operator import mul
-from typing import Callable, NamedTuple
+from functools import cache, lru_cache, reduce
+from itertools import chain, compress, repeat
+from operator import add, mul, sub
+from typing import Callable, Iterator, NamedTuple
 
 from .derived import DerivedKind
 from .graph import GraphError, _Report, generate
@@ -343,17 +344,36 @@ def _at(fit: _Fit, order) -> GraphInvariants:
 
 
 @lru_cache(maxsize=1)
-def _differences(fits: tuple[tuple[str, _Fit], ...]) -> tuple[_Poly, ...]:
-    """Each table entry's difference, tabulated minus closed form over the
-    fitted bundles, in (n, m). A pure function of the ``(family, fit)``
-    pairs, and every audit fits the same built graphs, so it is kept."""
+def _polynomials(fits: tuple[tuple[str, _Fit], ...]) -> tuple[tuple[_Poly, _Poly], ...]:
+    """Each table entry's closed form over the fitted bundles and its
+    difference, tabulated minus closed form, in (n, m). A pure function of
+    the ``(family, fit)`` pairs, and every audit fits the same built graphs,
+    so it is kept."""
     by_family = dict(fits)
     return tuple(
-        entry.value(_N, _M) - theorem_value(
+        (closed := theorem_value(
             entry.spec, _at(by_family[entry.g1_family], _N), _at(by_family[entry.g2_family], _M)
-        )
+        ), entry.value(_N, _M) - closed)
         for entry in FAMILY_CASES
     )
+
+
+def _differences(fits: tuple[tuple[str, _Fit], ...]) -> tuple[_Poly, ...]:
+    return tuple(difference for _, difference in _polynomials(fits))
+
+
+def _rows(poly: _Poly, ns: range, ms: list[int]) -> Iterator[list[int]]:
+    """``poly`` at (n, m) for each m in ``ms``, a row for each of the
+    consecutive orders n in ``ns``: the first rows term by term, each later
+    one from the last by forward differences in n."""
+    degree = max((i for i, _ in poly.terms), default=0)
+    table = [[sum(c * n**i * m**j for (i, j), c in poly.terms.items()) for m in ms]
+             for n in range(ns.start, ns.start + degree + 1)]
+    for k in range(degree):  # table[t] becomes the t-th difference at ns.start
+        table[k + 1:] = [list(map(sub, high, low)) for low, high in zip(table[k:], table[k + 1:])]
+    for _ in ns:
+        yield table[0]
+        table[:-1] = [list(map(add, low, high)) for low, high in zip(table, table[1:])]
 
 
 def audit_examples(n_max: int = 8, m_max: int = 8) -> AuditReport:
@@ -363,45 +383,49 @@ def audit_examples(n_max: int = 8, m_max: int = 8) -> AuditReport:
     :func:`theorem_value` over real invariant bundles, not another
     pencil-and-paper formula. An order is in its family's linear region
     when its built bundle equals the bundle fitted through orders 3 and 4.
-    Where an entry's difference is zero, a point with both orders in the
-    region would match (evaluation commutes with the ring operations) and
-    is skipped; every other point is checked one by one.
+    A point with both orders in the region is settled by the entry's
+    difference polynomial (evaluation commutes with the ring operations):
+    it matches where the difference is zero and is reported with the
+    closed form's value where it is not. Every other point is checked one
+    by one.
     """
-    built: dict[tuple[str, int], GraphInvariants] = {}
 
+    @cache
     def factor(family: str, size: int) -> GraphInvariants:
-        key = (family, size)
-        if key not in built:
-            built[key] = invariants(generate(family, size))
-        return built[key]
+        return invariants(generate(family, size))
 
     fits = {family: _fit(factor(family, 3), factor(family, 4)) for family in _FAMILY_FLOOR}
-    linear: dict[tuple[str, int], bool] = {}
 
+    @cache
     def in_region(family: str, size: int) -> bool:
-        key = (family, size)
-        if key not in linear:
-            linear[key] = factor(family, size) == _at(fits[family], size)
-        return linear[key]
+        return factor(family, size) == _at(fits[family], size)
 
     results = []
-    for entry, difference in zip(FAMILY_CASES, _differences(tuple(fits.items()))):
+    for entry, (closed, difference) in zip(FAMILY_CASES, _polynomials(tuple(fits.items()))):
         spec = entry.spec
         ns = range(entry.n_min, n_max + 1)
         rights = [(m, factor(entry.g2_family, m)) for m in range(entry.m_min, m_max + 1)]
-        # The columns a row in the linear region still checks: all of them
-        # unless the difference is zero.
-        if difference.terms:
-            region_row = rights
-        else:
-            region_row = [(m, right) for m, right in rights if not in_region(entry.g2_family, m)]
+        region_ms = [m for m, _ in rights if in_region(entry.g2_family, m)]
+        off_region = [(m, right) for m, right in rights if not in_region(entry.g2_family, m)]
+        # Each row's closed form and difference along the region columns.
+        region_rows = (zip(_rows(closed, ns, region_ms), _rows(difference, ns, region_ms))
+                       if difference.terms else repeat(None))
         mismatches = []
-        for n in ns:
+        for n, region_row in zip(ns, region_rows):
             left = factor(entry.g1_family, n)
-            for m, right in region_row if in_region(entry.g1_family, n) else rights:
+            settled = in_region(entry.g1_family, n)
+            for m, right in off_region if settled else rights:
                 tabulated = entry.value(n, m)
                 oracle = theorem_value(spec, left, right)
                 if tabulated != oracle:
                     mismatches.append(Mismatch(n, m, tabulated, oracle))
+            # Path order 2, the only order outside a region, comes first in a row.
+            if settled and region_row:
+                oracles, differences = region_row
+                # tuple.__new__ makes each Mismatch without a Python-level call;
+                # list() keeps peak RSS down (extending by the bare iterator
+                # reallocates differently and read 5 MB higher in some checkouts).
+                found = zip(repeat(n), region_ms, map(add, oracles, differences), oracles)
+                mismatches += list(compress(map(tuple.__new__, repeat(Mismatch), found), differences))
         results.append(CaseResult(entry, len(ns) * len(rights), tuple(mismatches)))
     return AuditReport(n_max, m_max, tuple(results))

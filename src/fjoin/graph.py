@@ -130,9 +130,10 @@ def generate(family: str, n: int) -> Graph:
         raise GraphError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
     if n < FAMILIES[family]:
         raise GraphError(f"{family} needs n >= {FAMILIES[family]}, got {n}")
-    # Allocate the n degree counts that Graph needs before any edge, so that
-    # an n too large to allocate fails here, not once the edges fill memory.
-    [0] * n
+    # Allocate the n degree counts and a slot per edge that Graph needs before
+    # any edge, so that a size too large to allocate fails here, not once the
+    # edges fill memory.
+    [0] * n, [None] * {"path": n - 1, "cycle": n, "complete": n * (n - 1) // 2, "star": n - 1}[family]
     if family == "path":
         edges = [(i, i + 1) for i in range(n - 1)]
     elif family == "cycle":

@@ -104,6 +104,14 @@ class TestGen:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith(message)
 
+    def test_unbuildable_edge_count_exits_3(self, capsys):
+        # 10^7 degree counts fit; the ~5 * 10^13 edge slots (4 * 10^14 bytes)
+        # are requested before any edge is built, and refused at once.
+        code, out, err = run(capsys, ["gen", "--family", "complete", "--n", "10000000"])
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("fjoin: out of memory: ")
+
 
 class TestDerive:
     def test_derive_from_stdin(self, capsys, monkeypatch):

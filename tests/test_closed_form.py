@@ -7,7 +7,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fjoin import (
     ALL_SPECS,
@@ -36,6 +37,7 @@ from fjoin.closed_form import (
     _M,
     _N,
     _Poly,
+    _rows,
 )
 
 from conftest import graphs
@@ -212,6 +214,15 @@ class TestIdentityAudit:
         for m_max in range(13):
             assert audit_examples(n_max, m_max).to_json() == pointwise_audit(n_max, m_max).to_json()
 
+    @pytest.mark.parametrize("n_max, m_max", [(60, 60), (60, 3), (3, 60), (2, 60)])
+    def test_matches_pointwise_audit_at_full_size(self, n_max, m_max):
+        # (60, 60) is the 23,781-row report; the others are one region row
+        # or column long, or hold a single path row outside the region.
+        # Lists of lines, so that a failure names its first differing line
+        # without a diff of two 3 MB strings.
+        got = audit_examples(n_max, m_max).to_json().splitlines()
+        assert got == pointwise_audit(n_max, m_max).to_json().splitlines()
+
     def test_points_outside_the_linear_region_are_checked(self, monkeypatch):
         # Skew F of every order-2 bundle. Only path order 2 changes, so the
         # fits and the differences stand; its rows and columns must still be
@@ -250,6 +261,28 @@ class TestIdentityAudit:
         assert len(differences) == 32
         for label, terms in differences.items():
             assert terms == tabulated.get(label, {}), label
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 7), st.integers(0, 7)),
+        st.integers(-10**12, 10**12),
+        max_size=12,
+    ),
+    st.integers(0, 4),
+    st.integers(0, 10),
+    st.lists(st.integers(-20, 80), max_size=12),
+)
+@example({}, 0, 4, [3, 4, 5])
+@example({(7, 7): -123456789, (0, 0): 98}, 1, 9, [])
+@example({(0, 0): 0, (3, 2): -17}, 0, 1, [0, 1, -1])
+def test_rows_equal_the_term_by_term_sum(terms, start, count, ms):
+    # Any coefficients (zero ones dropped), any columns, first rows at orders 0 to 4.
+    poly = _Poly(terms.items())
+    ns = range(start, start + count)
+    want = [[sum(c * n**i * m**j for (i, j), c in terms.items()) for m in ms] for n in ns]
+    assert list(_rows(poly, ns, ms)) == want
 
 
 class TestPolyRing:
