@@ -194,10 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"fjoin: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (ParseError, OSError) as exc:  # ahead of GraphError: a ParseError is one
         print(f"fjoin: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OverflowError as exc:

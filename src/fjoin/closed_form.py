@@ -35,9 +35,10 @@ from operator import add, mul, sub
 from typing import Callable, Iterator, NamedTuple
 
 from .derived import DerivedKind
-from .graph import GraphError, _Report, generate
+from .graph import GraphError, generate
 from .indices import GraphInvariants, invariants
 from .joins import JoinMode, OperationSpec
+from .report import _Report
 
 _FAMILY_FLOOR = {"path": 2, "cycle": 3}
 
@@ -356,10 +357,6 @@ def _polynomials(fits: tuple[tuple[str, _Fit], ...]) -> tuple[tuple[_Poly, _Poly
         ), entry.value(_N, _M) - closed)
         for entry in FAMILY_CASES
     )
-
-
-def _differences(fits: tuple[tuple[str, _Fit], ...]) -> tuple[_Poly, ...]:
-    return tuple(difference for _, difference in _polynomials(fits))
 
 
 def _rows(poly: _Poly, ns: range, ms: list[int]) -> Iterator[list[int]]:

@@ -4,8 +4,8 @@
 the composite, sum cubed degrees) for all eight operations on one operand
 pair. ``verify_corpus`` does that across a deterministic corpus of family
 graphs and seeded random graphs. ``bench_compare`` times the closed-form
-arm against the construction arm and skips construction when the composite
-would be infeasibly large.
+arm against ``verify_pair`` and skips that construction arm when the
+composite would be infeasibly large.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ import random
 import time
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from operator import attrgetter
+from typing import NamedTuple
 
 from .closed_form import theorem_value
-from .graph import FAMILIES, Graph, GraphError, _Report, generate, random_graph
+from .graph import FAMILIES, Graph, GraphError, generate, random_graph
 from .indices import f_index, invariants
 from .joins import ALL_SPECS, f_join
+from .report import _Report
 
 # Construction beyond this many composite edges is treated as infeasible for
 # the benchmark; well under memory limits but already far slower than the
@@ -112,9 +113,8 @@ class CorpusConfig:
         return replace(self, seed=seed)
 
 
-@dataclass(frozen=True)
-class PairRecord:
-    """One operation on one operand pair, both routes."""
+class PairRecord(NamedTuple):
+    """One operation on one operand pair, both routes, and whether they agree."""
 
     g1: str
     g2: str
@@ -122,13 +122,7 @@ class PairRecord:
     mode: str
     closed_form: int
     oracle: int
-
-    @property
-    def match(self) -> bool:
-        return self.closed_form == self.oracle
-
-
-_PAIR_KEYS = (*PairRecord.__match_args__, "match")
+    match: bool
 
 
 @dataclass(frozen=True)
@@ -149,7 +143,7 @@ class VerificationReport(_Report):
 
     def _tree(self, rows) -> dict:
         return {
-            "records": rows(_PAIR_KEYS, list(map(attrgetter(*_PAIR_KEYS), self.records))),
+            "records": rows(PairRecord._fields, self.records),
             "summary": {"total": self.total, "mismatches": len(self.mismatches)},
         }
 
@@ -168,14 +162,7 @@ def verify_pair(g1: Graph, g2: Graph, label1: str = "g1", label2: str = "g2") ->
         closed = theorem_value(spec, inv1, inv2)
         oracle = f_index(f_join(spec, g1, g2).graph)
         records.append(
-            PairRecord(
-                g1=label1,
-                g2=label2,
-                kind=spec.kind.value,
-                mode=spec.mode.value,
-                closed_form=closed,
-                oracle=oracle,
-            )
+            PairRecord(label1, label2, spec.kind.value, spec.mode.value, closed, oracle, closed == oracle)
         )
     return VerificationReport(tuple(records))
 
@@ -214,8 +201,7 @@ def verify_corpus(config: CorpusConfig | None = None) -> VerificationReport:
     return VerificationReport(tuple(records))
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     """One benchmark run; construction fields are None when skipped."""
 
     n1: int
@@ -228,12 +214,8 @@ class BenchRecord:
     equal: bool | None
 
     def csv_row(self) -> str:
-        construct = "" if self.construct_ns is None else str(self.construct_ns)
-        equal = "" if self.equal is None else str(self.equal).lower()
-        return (
-            f"{self.n1},{self.n2},{self.m1},{self.m2},"
-            f"{self.closed_ns},{construct},{str(self.feasible).lower()},{equal}"
-        )
+        """The fields in order, None as an empty field and bools in lower case."""
+        return ",".join("" if value is None else str(value).lower() for value in self)
 
 
 def _worst_composite_edges(n1: int, m1: int, m1_first_zagreb: int, n2: int, m2: int) -> int:
@@ -253,10 +235,11 @@ def bench_compare(
     """Time the closed-form arm, and the construction arm when feasible.
 
     ``density`` scales each factor's possible edge count; pass a string or
-    :class:`~fractions.Fraction` for exact ratios. Feasibility is judged
-    before construction from the worst composite edge count; an unexpected
-    ``MemoryError`` during construction also downgrades the run to
-    infeasible rather than crashing.
+    :class:`~fractions.Fraction` for exact ratios. The construction arm is
+    one :func:`verify_pair`, and ``equal`` compares its oracle column with
+    the closed arm's values. Feasibility is judged before construction from
+    the worst composite edge count; an unexpected ``MemoryError`` during
+    construction also downgrades the run to infeasible rather than crashing.
     """
     density = Fraction(density)
     if not 0 <= density <= 1:
@@ -272,7 +255,7 @@ def bench_compare(
     start = time.perf_counter_ns()
     inv1 = invariants(g1)
     inv2 = invariants(g2)
-    closed = {spec: theorem_value(spec, inv1, inv2) for spec in ALL_SPECS}
+    closed = [theorem_value(spec, inv1, inv2) for spec in ALL_SPECS]
     closed_ns = time.perf_counter_ns() - start
 
     worst = _worst_composite_edges(g1.n, g1.m, inv1.M1, g2.n, g2.m)
@@ -280,11 +263,9 @@ def bench_compare(
         return BenchRecord(n1, n2, m1, m2, closed_ns, None, False, None)
     try:
         start = time.perf_counter_ns()
-        equal = True
-        for spec in ALL_SPECS:
-            oracle = f_index(f_join(spec, g1, g2).graph)
-            equal = equal and oracle == closed[spec]
+        report = verify_pair(g1, g2)
         construct_ns = time.perf_counter_ns() - start
     except MemoryError:
         return BenchRecord(n1, n2, m1, m2, closed_ns, None, False, None)
+    equal = [record.oracle for record in report.records] == closed
     return BenchRecord(n1, n2, m1, m2, closed_ns, construct_ns, True, equal)

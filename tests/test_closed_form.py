@@ -32,11 +32,11 @@ from fjoin.closed_form import (
     GraphInvariants,
     Mismatch,
     _at,
-    _differences,
     _fit,
     _M,
     _N,
     _Poly,
+    _polynomials,
     _rows,
 )
 
@@ -202,8 +202,8 @@ def family_fits():
 
 def difference_terms():
     """Each table entry's difference polynomial, keyed by its label."""
-    differences = _differences(tuple(family_fits().items()))
-    return {entry.label: diff.terms for entry, diff in zip(FAMILY_CASES, differences)}
+    polynomials = _polynomials(tuple(family_fits().items()))
+    return {entry.label: diff.terms for entry, (_, diff) in zip(FAMILY_CASES, polynomials)}
 
 
 class TestIdentityAudit:

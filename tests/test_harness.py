@@ -7,14 +7,17 @@ from fractions import Fraction
 import pytest
 
 from fjoin import (
+    ALL_SPECS,
     CorpusConfig,
     GraphError,
     bench_compare,
     family_corpus,
     generate,
+    theorem_value,
     verify_corpus,
     verify_pair,
 )
+from fjoin.cli import main
 
 TINY = CorpusConfig(
     path_sizes=(2, 4),
@@ -189,3 +192,45 @@ class TestBench:
     def test_density_accepts_string(self):
         record = bench_compare(20, 20, "1/4", seed=1)
         assert record.m1 == int(Fraction(1, 4) * 190)
+
+
+class TestMismatchPath:
+    """A closed form off by one for one spec: each route that compares the
+    two arms must report it."""
+
+    SKEWED = ALL_SPECS[3]
+
+    @pytest.fixture(autouse=True)
+    def skew_closed_form(self, monkeypatch):
+        def skewed(spec, inv1, inv2):
+            return theorem_value(spec, inv1, inv2) + (1 if spec == self.SKEWED else 0)
+
+        monkeypatch.setattr("fjoin.harness.theorem_value", skewed)
+
+    def test_only_the_skewed_record_mismatches(self, p3, p4):
+        report = verify_pair(p3, p4)
+        assert [record.match for record in report.records] == [spec != self.SKEWED for spec in ALL_SPECS]
+        (miss,) = report.mismatches
+        assert (miss.kind, miss.mode) == (self.SKEWED.kind.value, self.SKEWED.mode.value)
+        assert miss.closed_form == miss.oracle + 1
+        assert not report.ok
+
+    def test_json_writes_the_mismatch(self, p3, p4):
+        report = verify_pair(p3, p4)
+        text = report.to_json()
+        assert text.count('"match": false') == 1
+        assert text == json.dumps(report.as_dict(), indent=2)
+
+    def test_verify_exits_1_with_one_mismatch_per_pair(self, capsys, tmp_path):
+        config = tmp_path / "tiny.json"
+        config.write_text(
+            '{"path": [2, 3], "cycle": [3, 3], "complete": [1, 1], "star": [2, 2], "random_trials": 2}'
+        )
+        code = main(["verify", "--config", str(config)])
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        pairs = (2 + 1 + 1 + 1) ** 2 + 2
+        assert code == 1
+        assert summary == {"total": 8 * pairs, "mismatches": pairs}
+
+    def test_bench_arms_disagree(self):
+        assert bench_compare(20, 20, "1/4", seed=1).equal is False
