@@ -9,6 +9,7 @@ Composite vertex ids follow the block layout of :mod:`fjoin.derived`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, product
@@ -58,12 +59,21 @@ def f_join(spec: OperationSpec, g1: Graph, g2: Graph) -> ProvenancedGraph:
     """
     base = derive(spec.kind, g1)
     block = VertexTag.ORIGINAL_G1 if spec.mode is JoinMode.VERTEX else VertexTag.INSERTED
-    left = base.graph
-    offset = left.n
-    right_ids = range(offset, offset + g2.n)
+    left = base.graph.edges
+    offset = base.graph.n
+    right_ids = tuple(range(offset, offset + g2.n))
+    # Canonical order as built: each anchor's left edges, then its cross edges
+    # (right ids exceed every left id); then the other left edges and the right
+    # edges, shifted and re-paired. One list copied once: a tuple grown from
+    # iterators, or a tuple per anchor, has the cyclic collector re-traverse it.
+    edges: list[tuple[int, int]] = []
+    start = 0
+    for anchor in base.ids(block):
+        end = bisect_left(left, (anchor + 1,), start)
+        edges += left[start:end]
+        edges += product((anchor,), right_ids)
+        start = end
+    edges += left[start:]
     shifted = map(offset.__add__, chain.from_iterable(g2.edges))
-    # Each run ascends, so sorted only merges them into canonical order: the
-    # left edges, the cross edges (right ids exceed every left id) and the
-    # right edges shifted past the left block (re-paired from flat endpoints).
-    runs = chain(left.edges, product(base.ids(block), right_ids), zip(shifted, shifted))
-    return ProvenancedGraph(Graph(offset + g2.n, tuple(sorted(runs))), g1)
+    edges += zip(shifted, shifted)
+    return ProvenancedGraph(Graph(offset + g2.n, tuple(edges)), g1)

@@ -3,12 +3,13 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from fjoin import (
     ALL_SPECS,
     CorpusConfig,
     DerivedKind,
+    Graph,
     GraphError,
     JoinMode,
     OperationSpec,
@@ -95,6 +96,16 @@ def definition_edges(left, anchors, g2):
     return edges
 
 
+def definition_sorted(spec, g1, g2):
+    """The composite's edges by definition, in canonical order."""
+    left = derive(spec.kind, g1).graph
+    if spec.mode is JoinMode.VERTEX:
+        anchors = range(g1.n)
+    else:
+        anchors = range(g1.n, left.n)
+    return tuple(sorted(definition_edges(left, anchors, g2)))
+
+
 def _operand_pairs():
     """Every ordered pair of the family corpus, then 40 seeded random pairs."""
     corpus = [g for _, g in family_corpus(CorpusConfig())]
@@ -112,11 +123,21 @@ def _operand_pairs():
 def test_composites_are_built_in_canonical_order():
     for g1, g2 in _operand_pairs():
         for spec in ALL_SPECS:
-            left = derive(spec.kind, g1).graph
-            if spec.mode is JoinMode.VERTEX:
-                anchors = range(g1.n)
-            else:
-                anchors = range(g1.n, left.n)
             # Equal to a sorted set: strictly ascending, and the right edges.
-            edges = f_join(spec, g1, g2).graph.edges
-            assert list(edges) == sorted(definition_edges(left, anchors, g2))
+            assert f_join(spec, g1, g2).graph.edges == definition_sorted(spec, g1, g2)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+@settings(max_examples=60)
+@given(graphs(max_n=7), graphs(max_n=7))
+# An edgeless left factor: edge mode has no anchors at all.
+@example(Graph(3, ()), Graph(2, ((0, 1),)))
+# Trailing isolated left vertices: the last vertex-mode anchors own no edges.
+@example(Graph(5, ((0, 1), (1, 2))), Graph(2, ((0, 1),)))
+# A 1-vertex right factor: one cross edge per anchor, no right edges.
+@example(Graph(3, ((0, 1), (1, 2))), Graph(1, ()))
+# Q/T links into the last inserted vertex (a star): in vertex mode they come
+# after the last anchor's cross edges.
+@example(Graph(4, ((0, 3), (1, 3), (2, 3))), Graph(2, ()))
+def test_composite_edges_are_the_definition_sorted(spec, g1, g2):
+    assert f_join(spec, g1, g2).graph.edges == definition_sorted(spec, g1, g2)
