@@ -4,10 +4,18 @@ Subcommands: gen, derive, join, index, verify, audit, bench. Graph input
 is edge-list text from a file flag or stdin; graph output is edge-list text
 on stdout.
 
+``verify`` and ``audit`` stream their JSON reports: each case (``audit``)
+or the records of each 16 operand pairs (``verify``) are written, in one
+write, as soon as they are computed, and the summary last, once every
+record is out. So neither holds its whole report. A failure after output
+has begun leaves a report without its ``summary`` on stdout, plus the
+one-line message and exit code below; a failure before the first batch
+leaves stdout empty.
+
 Exit codes: 0 success (for verify, success means zero mismatches), 1 input
-parse or read failure, 2 usage or domain error, 3 a size that no
-index-sized integer holds (``bench --n1 10**20``) or that cannot be
-allocated (``bench --n1 10**12``).
+parse or read failure (a closed stdout among them), 2 usage or domain
+error, 3 a size that no index-sized integer holds (``bench --n1 10**20``)
+or that cannot be allocated (``bench --n1 10**12``).
 """
 
 from __future__ import annotations
@@ -18,17 +26,19 @@ import os
 import sys
 from fractions import Fraction
 
-from .closed_form import audit_examples
+from .closed_form import _audit_tree, case_results
 from .derived import DerivedKind, derive
 from .graph import FAMILIES, GraphError, ParseError, generate, parse_edge_list, render_edge_list
 from .harness import (
     DEFAULT_EDGE_BUDGET,
     CorpusConfig,
+    _verification_tree,
     bench_compare,
-    verify_corpus,
+    corpus_records,
 )
 from .indices import invariants
 from .joins import JoinMode, OperationSpec, f_join
+from .report import pieces
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -110,15 +120,20 @@ def cmd_verify(args) -> int:
         with open(args.config, encoding="utf-8") as handle:
             config = CorpusConfig.from_json(handle.read())
     config = config.with_seed(_resolve_seed(args.seed, fallback=config.seed))
-    report = verify_corpus(config)
-    print(report.to_json())
-    return EXIT_OK if report.ok else EXIT_DATA
+    summary = _stream(_verification_tree(corpus_records(config)))
+    return EXIT_DATA if summary["mismatches"] else EXIT_OK
 
 
 def cmd_audit(args) -> int:
-    report = audit_examples(args.n_max, args.m_max)
-    print(report.to_json())
+    _stream(_audit_tree(args.n_max, args.m_max, case_results(args.n_max, args.m_max)))
     return EXIT_OK
+
+
+def _stream(tree: dict) -> dict:
+    """Write a report tree to stdout a piece at a time; return its summary."""
+    for piece in pieces(tree, end="\n"):
+        sys.stdout.write(piece)
+    return tree["summary"]
 
 
 def cmd_bench(args) -> int:

@@ -11,8 +11,9 @@ vertices with degree-power sums P1, P2, P3. For linked inserted vertices
 those sums are M1, HM and M4 + 3 * ReZM of the left factor. The rest of
 the module carries a fixed table of path/cycle specializations for the same
 composites, recorded exactly as tabulated; :func:`audit_examples` checks
-every table entry on a grid of constructed operands and reports where the
-tabulated polynomial disagrees with the closed form. Disagreements are
+every table entry on a grid of constructed operands, one case at a time as
+:func:`case_results` makes them, and reports where the tabulated
+polynomial disagrees with the closed form. Disagreements are
 findings to report, never entries to silently fix.
 
 The audit settles most of the grid by one difference polynomial per entry.
@@ -28,17 +29,17 @@ order 2 rows and columns) are checked one by one.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import cache, lru_cache, reduce
 from itertools import chain, compress, repeat
 from operator import add, mul, sub
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .derived import DerivedKind
 from .graph import GraphError, generate
 from .indices import GraphInvariants, invariants
 from .joins import JoinMode, OperationSpec
-from .report import _Report
+from .report import _Batches, _Report, _Rows
 
 _FAMILY_FLOOR = {"path": 2, "cycle": 3}
 
@@ -239,16 +240,16 @@ class CaseResult:
             return "empty"
         return "verified" if self.verified else "mismatch"
 
-    def _tree(self, rows) -> dict:
-        """The case's fields but its polynomial, then the grid outcome."""
-        row = dict(vars(self.case))
-        del row["value"]
-        return {
-            **row,
-            "points": self.points,
-            "verdict": self.verdict,
-            "mismatches": rows(Mismatch._fields, self.mismatches),
-        }
+    def _row(self, rows) -> tuple:
+        """The case's fields but its polynomial, then the grid outcome, in
+        :data:`_CASE_KEYS` order."""
+        entry = vars(self.case)
+        return (*(entry[key] for key in _ENTRY_KEYS), self.points, self.verdict,
+                rows(Mismatch._fields, self.mismatches))
+
+
+_ENTRY_KEYS = tuple(field.name for field in fields(FamilyCase) if field.name != "value")
+_CASE_KEYS = (*_ENTRY_KEYS, "points", "verdict", "mismatches")
 
 
 @dataclass(frozen=True)
@@ -262,16 +263,22 @@ class AuditReport(_Report):
         return tuple(result for result in self.results if result.mismatches)
 
     def _tree(self, rows) -> dict:
-        return {
-            "n_max": self.n_max,
-            "m_max": self.m_max,
-            "cases": [result._tree(rows) for result in self.results],
-            "summary": {
-                "cases": len(self.results),
-                "verified": sum(1 for r in self.results if r.verified),
-                "mismatched": len(self.mismatched_cases),
-            },
-        }
+        return _audit_tree(self.n_max, self.m_max, self.results, rows)
+
+
+def _audit_tree(n_max: int, m_max: int, results: Iterable[CaseResult], rows=_Rows) -> dict:
+    """The audit report's JSON tree: the grid, the cases one at a time, then
+    their summary, which counts each case as the report writer takes it."""
+    summary = {"cases": 0, "verified": 0, "mismatched": 0}
+
+    def counted():
+        for result in results:
+            summary["cases"] += 1
+            summary["verified"] += result.verified
+            summary["mismatched"] += bool(result.mismatches)
+            yield [result._row(rows)]
+
+    return {"n_max": n_max, "m_max": m_max, "cases": _Batches(_CASE_KEYS, counted()), "summary": summary}
 
 
 class _Poly:
@@ -373,8 +380,9 @@ def _rows(poly: _Poly, ns: range, ms: list[int]) -> Iterator[list[int]]:
         table[:-1] = [list(map(add, low, high)) for low, high in zip(table, table[1:])]
 
 
-def audit_examples(n_max: int = 8, m_max: int = 8) -> AuditReport:
-    """Check every tabulated case on its grid against the closed form.
+def case_results(n_max: int = 8, m_max: int = 8) -> Iterator[CaseResult]:
+    """Check every tabulated case on its grid against the closed form, and
+    yield each case's result as it is settled.
 
     The operands are actually constructed, so the reference is
     :func:`theorem_value` over real invariant bundles, not another
@@ -397,7 +405,6 @@ def audit_examples(n_max: int = 8, m_max: int = 8) -> AuditReport:
     def in_region(family: str, size: int) -> bool:
         return factor(family, size) == _at(fits[family], size)
 
-    results = []
     for entry, (closed, difference) in zip(FAMILY_CASES, _polynomials(tuple(fits.items()))):
         spec = entry.spec
         ns = range(entry.n_min, n_max + 1)
@@ -424,5 +431,9 @@ def audit_examples(n_max: int = 8, m_max: int = 8) -> AuditReport:
                 # reallocates differently and read 5 MB higher in some checkouts).
                 found = zip(repeat(n), region_ms, map(add, oracles, differences), oracles)
                 mismatches += list(compress(map(tuple.__new__, repeat(Mismatch), found), differences))
-        results.append(CaseResult(entry, len(ns) * len(rights), tuple(mismatches)))
-    return AuditReport(n_max, m_max, tuple(results))
+        yield CaseResult(entry, len(ns) * len(rights), tuple(mismatches))
+
+
+def audit_examples(n_max: int = 8, m_max: int = 8) -> AuditReport:
+    """All of :func:`case_results` in one report."""
+    return AuditReport(n_max, m_max, tuple(case_results(n_max, m_max)))

@@ -3,9 +3,13 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -13,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fjoin.cli
 from fjoin import (
     FAMILIES,
     CorpusConfig,
     DerivedKind,
+    audit_examples,
     derive,
     f_join,
     generate,
@@ -26,6 +32,7 @@ from fjoin import (
     verify_corpus,
 )
 from fjoin.cli import main
+from fjoin.harness import _PAIRS_A_BATCH
 from fjoin.joins import JoinMode, OperationSpec
 
 from conftest import graphs, small_numbers
@@ -398,6 +405,102 @@ def test_report_layout_is_json_dumps_indent_2(capsys, tmp_path):
         code, out, err = run(capsys, argv)
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class _CountingStdout(io.TextIOBase):
+    """A stdout that counts what is written to it and keeps none of it."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text: str) -> int:
+        self.written += len(text)  # the reports are ASCII: one byte a character
+        return len(text)
+
+
+def _fails_after(producer, items: int):
+    """``producer`` that raises MemoryError once it has made ``items`` items."""
+
+    def failing(*args):
+        yield from islice(producer(*args), items)
+        raise MemoryError
+
+    return failing
+
+
+class TestStreamedReports:
+    """verify and audit write their reports a batch at a time."""
+
+    @pytest.fixture
+    def config_file(self, tmp_path):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(TINY_CONFIG))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["audit", "verify"])
+    def test_peak_memory_stays_below_the_bytes_written(self, tmp_path, command):
+        # A writer that holds the whole report (or its records) peaks at a
+        # multiple of the report's size; a streamed one at a fraction of it.
+        if command == "audit":
+            argv = ["audit", "--n-max", "100", "--m-max", "100"]
+        else:
+            path = tmp_path / "trials.json"
+            path.write_text(json.dumps({**TINY_CONFIG, "random_trials": 3000}))
+            argv = ["verify", "--config", str(path)]
+        sink = _CountingStdout()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(sink):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < sink.written
+
+    @pytest.mark.parametrize("batches", [0, 1], ids=["before-first-batch", "after-first-batch"])
+    @pytest.mark.parametrize("command", ["audit", "verify"])
+    def test_memory_error_mid_report(self, capsys, monkeypatch, config_file, command, batches):
+        # An audit batch is one case; a verify batch the records of
+        # _PAIRS_A_BATCH operand pairs, each pair one item of its producer.
+        if command == "audit":
+            argv = ["audit", "--n-max", "5", "--m-max", "5"]
+            producer, items = "case_results", batches
+            full = audit_examples(5, 5).to_json()
+        else:
+            argv = ["verify", "--config", config_file]
+            producer, items = "corpus_records", batches * _PAIRS_A_BATCH
+            full = verify_corpus(CorpusConfig.from_dict(TINY_CONFIG)).to_json()
+        monkeypatch.setattr(fjoin.cli, producer, _fails_after(getattr(fjoin.cli, producer), items))
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("fjoin: out of memory")
+        # Nothing before the first batch; after it, a prefix of the report
+        # that stops short of the summary, its verdict.
+        assert bool(out) == bool(batches)
+        assert full.startswith(out) and '"summary"' not in out
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv", [["audit", "--n-max", "60", "--m-max", "60"], ["verify", "--seed", "1"]],
+        ids=["audit", "verify"],
+    )
+    def test_closed_pipe_exits_1_with_one_line(self, argv, unbuffered):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fjoin.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        head = proc.stdout.read(5)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert head == b'{\n  "'
+        assert err == b"fjoin: [Errno 32] Broken pipe\n"
 
 
 class TestBench:

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import enum
 import json
+from typing import NamedTuple
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fjoin.report import _indented_json, _Rows
+from fjoin.report import _Batches, _indented_json, _Rows, pieces
 
 
 # Strings that hold JSON's own punctuation, escapes, newlines, non-ASCII text
@@ -92,3 +93,64 @@ class TestIndentedJsonTables:
     @example({"rows": _Rows(("nested", "text"), [([{"a": "},\n  {"}], "\u00e9\ud800"), ((), "")])})
     def test_matches_json_dumps_of_dict_rows(self, obj):
         assert _indented_json(obj) == json.dumps(dict_rows(obj), indent=2)
+
+
+class _Batched(NamedTuple):
+    """A test's description of a :class:`_Batches` value."""
+
+    keys: tuple
+    batches: list
+
+
+@st.composite
+def _report_trees(draw):
+    """A report tree as a dict of descriptions: a JSON tree, or
+    :class:`_Batched` rows."""
+    tree = {}
+    for key in draw(st.lists(_JSON_TEXT, min_size=1, max_size=4, unique=True)):
+        if draw(st.booleans()):
+            tree[key] = draw(_TABLE_TREES)
+        else:
+            table = draw(_tables())
+            cut = sorted(draw(st.lists(st.integers(0, len(table.tuples)), max_size=3)))
+            bounds = [0, *cut, len(table.tuples)]
+            tree[key] = _Batched(table.keys, [table.tuples[a:b] for a, b in zip(bounds, bounds[1:])])
+    return tree
+
+
+class TestPieces:
+    @settings(max_examples=200)
+    @given(_report_trees(), st.sampled_from(["", "\n"]))
+    @example({"rows": _Batched((), [[], []])}, "")
+    @example({"rows": _Batched(("a",), [[], [(1,)], [], [(2,), (3,)]]), "summary": {"n": 3}}, "\n")
+    def test_join_to_json_dumps_with_a_piece_per_nonempty_batch(self, tree, end):
+        def batched(value):
+            return _Batches(value.keys, iter(value.batches)) if isinstance(value, _Batched) else value
+
+        def listed(value):
+            if isinstance(value, _Batched):
+                return [dict(zip(value.keys, row)) for batch in value.batches for row in batch]
+            return dict_rows(value)
+
+        written = list(pieces({key: batched(value) for key, value in tree.items()}, end))
+        expected = json.dumps({key: listed(value) for key, value in tree.items()}, indent=2)
+        assert "".join(written) == expected + end
+        nonempty = sum(bool(batch) for value in tree.values() if isinstance(value, _Batched)
+                       for batch in value.batches)
+        assert len(written) == nonempty + 1
+
+    def test_a_piece_is_yielded_only_once_its_batch_is_made(self):
+        made = []
+
+        def batches():
+            for index in range(3):
+                made.append(index)
+                yield [(index,)]
+
+        summary = {"made": 0}
+        tree = {"rows": _Batches(("i",), batches()), "summary": summary}
+        for count, piece in enumerate(pieces(tree), 1):
+            if count <= 3:
+                assert len(made) == count and piece.endswith(f'"i": {count - 1}\n    }}')
+            summary["made"] = len(made)
+        assert piece.endswith('"summary": {\n    "made": 3\n  }\n}')
