@@ -13,14 +13,16 @@ one-line message and exit code below; a failure before the first batch
 leaves stdout empty.
 
 Exit codes: 0 success (for verify, success means zero mismatches), 1 input
-parse or read failure (a closed stdout among them), 2 usage or domain
-error, 3 a size that no index-sized integer holds (``bench --n1 10**20``)
-or that cannot be allocated (``bench --n1 10**12``).
+parse or read failure (a closed or short stdout among them, for every
+command, buffered or not), 2 usage or domain error, 3 a size that no
+index-sized integer holds (``bench --n1 10**20``) or that cannot be
+allocated (``bench --n1 10**12``).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -70,6 +72,21 @@ def _resolve_seed(flag_value: int | None, fallback: int = DEFAULT_SEED) -> int:
     return fallback
 
 
+def _write(texts) -> None:
+    """Write each of ``texts`` to stdout in full or raise ``OSError``: to a
+    real stdout's fd through a fresh, flushed ``BufferedWriter``, so that no
+    short write is dropped and no unwritten byte is left for exit to fail on."""
+    stdout = sys.stdout
+    if not isinstance(getattr(stdout, "buffer", None), (io.FileIO, io.BufferedWriter)):
+        stdout.writelines(texts)
+        return
+    stdout.flush()
+    with open(stdout.fileno(), "wb", closefd=False) as out:
+        for text in texts:
+            out.write(text.encode(stdout.encoding, stdout.errors))
+            out.flush()
+
+
 def _emit(pg, tags_path: str | None) -> int:
     """Write the provenance sidecar first, if asked for, then the graph, so a
     sidecar that cannot be written leaves stdout empty."""
@@ -81,12 +98,12 @@ def _emit(pg, tags_path: str | None) -> int:
         with open(tags_path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
-    sys.stdout.write(render_edge_list(pg.graph))
+    _write([render_edge_list(pg.graph)])
     return EXIT_OK
 
 
 def cmd_gen(args) -> int:
-    sys.stdout.write(render_edge_list(generate(args.family, args.n)))
+    _write([render_edge_list(generate(args.family, args.n))])
     return EXIT_OK
 
 
@@ -107,10 +124,9 @@ def cmd_join(args) -> int:
 def cmd_index(args) -> int:
     bundle = invariants(_read_graph(args.infile))
     if args.json:
-        print(bundle.to_json())
+        _write([bundle.to_json(), "\n"])
     else:
-        for name, value in bundle.as_dict().items():
-            print(f"{name:<4} {value}")
+        _write([f"{name:<4} {value}\n" for name, value in bundle.as_dict().items()])
     return EXIT_OK
 
 
@@ -120,20 +136,14 @@ def cmd_verify(args) -> int:
         with open(args.config, encoding="utf-8") as handle:
             config = CorpusConfig.from_json(handle.read())
     config = config.with_seed(_resolve_seed(args.seed, fallback=config.seed))
-    summary = _stream(_verification_tree(corpus_records(config)))
-    return EXIT_DATA if summary["mismatches"] else EXIT_OK
+    tree = _verification_tree(corpus_records(config))
+    _write(pieces(tree, end="\n"))
+    return EXIT_DATA if tree["summary"]["mismatches"] else EXIT_OK
 
 
 def cmd_audit(args) -> int:
-    _stream(_audit_tree(args.n_max, args.m_max, case_results(args.n_max, args.m_max)))
+    _write(pieces(_audit_tree(args.n_max, args.m_max, case_results(args.n_max, args.m_max)), end="\n"))
     return EXIT_OK
-
-
-def _stream(tree: dict) -> dict:
-    """Write a report tree to stdout a piece at a time; return its summary."""
-    for piece in pieces(tree, end="\n"):
-        sys.stdout.write(piece)
-    return tree["summary"]
 
 
 def cmd_bench(args) -> int:
@@ -143,7 +153,7 @@ def cmd_bench(args) -> int:
         raise GraphError(f"density must be a rational like 1/10 or 0.1, got {args.density!r}") from None
     seed = _resolve_seed(args.seed)
     record = bench_compare(args.n1, args.n2, density, seed, edge_budget=args.edge_budget)
-    print(record.csv_row())
+    _write([record.csv_row(), "\n"])
     return EXIT_OK
 
 

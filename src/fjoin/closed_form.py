@@ -240,12 +240,11 @@ class CaseResult:
             return "empty"
         return "verified" if self.verified else "mismatch"
 
-    def _row(self, rows) -> tuple:
-        """The case's fields but its polynomial, then the grid outcome, in
-        :data:`_CASE_KEYS` order."""
+    def _row(self) -> tuple:
+        """The case's fields but its polynomial, then the grid outcome (:data:`_CASE_KEYS`)."""
         entry = vars(self.case)
         return (*(entry[key] for key in _ENTRY_KEYS), self.points, self.verdict,
-                rows(Mismatch._fields, self.mismatches))
+                _Rows(Mismatch._fields, self.mismatches))
 
 
 _ENTRY_KEYS = tuple(field.name for field in fields(FamilyCase) if field.name != "value")
@@ -262,11 +261,11 @@ class AuditReport(_Report):
     def mismatched_cases(self) -> tuple[CaseResult, ...]:
         return tuple(result for result in self.results if result.mismatches)
 
-    def _tree(self, rows) -> dict:
-        return _audit_tree(self.n_max, self.m_max, self.results, rows)
+    def _tree(self) -> dict:
+        return _audit_tree(self.n_max, self.m_max, self.results)
 
 
-def _audit_tree(n_max: int, m_max: int, results: Iterable[CaseResult], rows=_Rows) -> dict:
+def _audit_tree(n_max: int, m_max: int, results: Iterable[CaseResult]) -> dict:
     """The audit report's JSON tree: the grid, the cases one at a time, then
     their summary, which counts each case as the report writer takes it."""
     summary = {"cases": 0, "verified": 0, "mismatched": 0}
@@ -276,7 +275,7 @@ def _audit_tree(n_max: int, m_max: int, results: Iterable[CaseResult], rows=_Row
             summary["cases"] += 1
             summary["verified"] += result.verified
             summary["mismatched"] += bool(result.mismatches)
-            yield [result._row(rows)]
+            yield [result._row()]
 
     return {"n_max": n_max, "m_max": m_max, "cases": _Batches(_CASE_KEYS, counted()), "summary": summary}
 

@@ -138,12 +138,12 @@ def generate(family: str, n: int) -> Graph:
         edges = [(i, i + 1) for i in range(n - 1)]
     elif family == "cycle":
         edges = [(i, i + 1) for i in range(n - 1)]
-        edges.append((0, n - 1))
+        edges.insert(1, (0, n - 1))
     elif family == "complete":
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     else:
         edges = [(0, leaf) for leaf in range(1, n)]
-    return Graph.from_edges(n, edges)
+    return Graph(n, tuple(edges))
 
 
 def random_graph(n: int, m: int, seed: int) -> Graph:

@@ -143,7 +143,7 @@ class VerificationReport(_Report):
     def ok(self) -> bool:
         return not self.mismatches
 
-    def _tree(self, rows) -> dict:
+    def _tree(self) -> dict:
         return _verification_tree([self.records])
 
 

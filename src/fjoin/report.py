@@ -1,15 +1,14 @@
 """Report JSON: a report's tree laid out exactly as ``json.dumps(..., indent=2)``,
 as pieces written while the report is produced.
 
-A :class:`_Report` builds its tree in ``_tree(rows)``, each list of rows in
-it made by ``rows(keys, tuples)``; ``as_dict`` makes those rows dicts, and
-the writer writes them as tables, one ``%`` format a table. A top-level
-value may instead be :class:`_Batches`, a table whose rows come a batch at
-a time. :func:`pieces` yields the text up to and including each batch as
-one piece, as soon as the batch is made, and the rest as a last piece, so
-values after the batches (a summary counted over them) are read only once
-every batch is written. ``to_json`` joins the pieces once; the CLI writes
-each piece as it comes.
+A :class:`_Report` builds its tree in ``_tree()``, each list of rows in it a
+:class:`_Rows` table, written one ``%`` format a table. A top-level value
+may instead be :class:`_Batches`, a table whose rows come a batch at a time.
+:func:`pieces` yields the text up to and including each batch as one piece,
+as soon as the batch is made, and the rest as a last piece, so values after
+the batches (a summary counted over them) are read only once every batch is
+written. ``to_json`` joins the pieces, ``as_dict`` parses that text, and the
+CLI writes each piece as it comes.
 """
 
 from __future__ import annotations
@@ -34,25 +33,16 @@ class _Batches(NamedTuple):
     batches: Iterable[Sequence[tuple]]
 
 
-def _dict_rows(keys, tuples) -> list[dict]:
-    return [dict(zip(keys, row)) for row in tuples]
-
-
 class _Report:
-    """A report whose ``_tree(rows)`` builds its JSON tree, each list of rows
-    in it made by ``rows(keys, tuples)``."""
+    """A report whose ``_tree()`` builds its JSON tree."""
 
     def as_dict(self) -> dict:
-        # In key order, so a summary counted over the batches is read after them.
-        return {
-            key: _dict_rows(value.keys, chain.from_iterable(value.batches))
-            if isinstance(value, _Batches) else value
-            for key, value in self._tree(_dict_rows).items()
-        }
+        """The report as the dicts and lists that its JSON text parses to."""
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """:meth:`as_dict` laid out exactly as ``json.dumps(..., indent=2)``."""
-        return "".join(pieces(self._tree(_Rows)))
+        """The report's tree laid out exactly as ``json.dumps(..., indent=2)``."""
+        return "".join(pieces(self._tree()))
 
 
 def pieces(tree: dict, end: str = "") -> Iterator[str]:

@@ -205,6 +205,7 @@ class TestIndex:
         assert code == 0
         assert re.search(r"^F\s+18$", out, flags=re.M)
         assert re.search(r"^ReZM\s+28$", out, flags=re.M)
+        assert out == "n    4\nm    3\nM1   10\nM2   8\nF    18\nHM   34\nReZM 28\nM4   34\n"
 
     def test_json_output(self, capsys, monkeypatch):
         text = render_edge_list(generate("path", 3))
@@ -429,7 +430,8 @@ def _fails_after(producer, items: int):
 
 
 class TestStreamedReports:
-    """verify and audit write their reports a batch at a time."""
+    """verify and audit write their reports a batch at a time; every command's
+    stdout write fails loudly when its reader is gone."""
 
     @pytest.fixture
     def config_file(self, tmp_path):
@@ -480,27 +482,74 @@ class TestStreamedReports:
         assert bool(out) == bool(batches)
         assert full.startswith(out) and '"summary"' not in out
 
+    @pytest.fixture(scope="class")
+    def pipe_inputs(self, tmp_path_factory):
+        # A 200,000-vertex path: its derived graph and its join with P2 are
+        # megabytes of text, far more than a pipe holds.
+        folder = tmp_path_factory.mktemp("pipe")
+        (folder / "p200k.txt").write_text(render_edge_list(generate("path", 200_000)))
+        (folder / "p2.txt").write_text(render_edge_list(generate("path", 2)))
+        return folder
+
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     @pytest.mark.parametrize(
-        "argv", [["audit", "--n-max", "60", "--m-max", "60"], ["verify", "--seed", "1"]],
-        ids=["audit", "verify"],
+        "argv, head",
+        [
+            (["audit", "--n-max", "60", "--m-max", "60"], b'{\n  "'),
+            (["verify", "--seed", "1"], b'{\n  "'),
+            (["gen", "--family", "path", "--n", "3000000"], b"30000"),
+            (["derive", "--kind", "S", "--in", "p200k.txt"], b"39999"),
+            (["join", "--kind", "S", "--mode", "vertex", "--g1", "p200k.txt", "--g2", "p2.txt"], b"40000"),
+        ],
+        ids=["audit", "verify", "gen", "derive", "join"],
     )
-    def test_closed_pipe_exits_1_with_one_line(self, argv, unbuffered):
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
+    def test_closed_pipe_exits_1_with_one_line(self, pipe_inputs, argv, head, unbuffered):
+        # Unbuffered, stdout's text layer writes to a raw FileIO and would
+        # drop what a short write leaves; every command must still fail.
         proc = subprocess.Popen(
             [sys.executable, "-m", "fjoin.cli", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(unbuffered), cwd=pipe_inputs,
         )
-        head = proc.stdout.read(5)
+        first = proc.stdout.read(5)
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=120) == 1
-        assert head == b'{\n  "'
+        assert first == head
         assert err == b"fjoin: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen", "--family", "path", "--n", "3"], ["index", "--in", "p2.txt"],
+         ["bench", "--n1", "5", "--n2", "5", "--density", "1/2", "--seed", "1"]],
+        ids=["gen", "index", "bench"],
+    )
+    def test_output_to_a_gone_reader_exits_1_with_one_line(self, pipe_inputs, argv, unbuffered):
+        # An output smaller than stdout's buffer, to a pipe whose reader is
+        # gone before the command starts: buffered, nothing may be left for
+        # the interpreter's exit to flush (exit 120, "Exception ignored").
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fjoin.cli", *argv],
+                stdout=writer, stderr=subprocess.PIPE, env=_cli_env(unbuffered), cwd=pipe_inputs, timeout=120,
+            )
+        finally:
+            os.close(writer)
+        assert proc.returncode == 1
+        assert proc.stderr == b"fjoin: [Errno 32] Broken pipe\n"
+
+
+def _cli_env(unbuffered: bool) -> dict:
+    """The environment for ``python -m fjoin.cli``, with or without
+    ``PYTHONUNBUFFERED=1``."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
 
 
 class TestBench:

@@ -132,8 +132,9 @@ class TestFamilyTable:
 class TestAudit:
     @pytest.mark.parametrize("size", [12, 0])
     def test_json_is_stdlib_layout_of_as_dict(self, size):
-        # to_json writes the mismatches from their tuples and as_dict builds
-        # them as dicts; at 0 x 0 every list is empty and every verdict empty.
+        # as_dict parses to_json's text, so this checks that the text (the
+        # mismatches written from their tuples) is json's indent=2 layout;
+        # at 0 x 0 every list is empty and every verdict empty.
         report = audit_examples(size, size)
         assert report.to_json() == json.dumps(report.as_dict(), indent=2)
         assert any(r.mismatches for r in report.results) == bool(size)

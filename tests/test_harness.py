@@ -139,8 +139,9 @@ class TestVerifyCorpus:
         assert "random-000-a" in labels
 
     def test_json_is_stdlib_layout_of_as_dict(self):
-        # to_json writes the records from their tuples (str, int and bool
-        # columns) and as_dict builds them as dicts; json must agree on both.
+        # as_dict parses to_json's text, so this checks that the text (the
+        # records written from their str, int and bool columns) is json's
+        # indent=2 layout.
         report = verify_corpus(TINY)
         assert report.to_json() == json.dumps(report.as_dict(), indent=2)
 
