@@ -14,9 +14,9 @@ leaves stdout empty.
 
 Exit codes: 0 success (for verify, success means zero mismatches), 1 input
 parse or read failure (a closed or short stdout among them, for every
-command, buffered or not), 2 usage or domain error, 3 a size that no
-index-sized integer holds (``bench --n1 10**20``) or that cannot be
-allocated (``bench --n1 10**12``).
+command and for ``--help``, buffered or not), 2 usage or domain error, 3 a
+size that no index-sized integer holds (``bench --n1 10**20``) or that
+cannot be allocated (``bench --n1 10**12``).
 """
 
 from __future__ import annotations
@@ -157,8 +157,16 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        """Help for stdout goes through :func:`_write`; subparsers inherit this."""
+        if file is None:
+            return _write([self.format_help()])
+        super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fjoin",
         description="Derived-graph join composites and their degree-based indices.",
     )
@@ -215,9 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, OSError) as exc:  # ahead of GraphError: a ParseError is one
         print(f"fjoin: {exc}", file=sys.stderr)

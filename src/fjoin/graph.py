@@ -12,15 +12,13 @@ import random
 import re
 import sys
 from dataclasses import dataclass
-from itertools import chain
-from operator import le, lt
 from typing import Iterable
 
 # The named families and the least order each exists at: shorter cycles would
 # need loops or doubled edges, and a star needs its hub and one leaf.
 FAMILIES = {"path": 1, "cycle": 3, "complete": 1, "star": 2}
 
-# Whole lines of canonical edge-list text: two ASCII-digit fields, LF ending.
+# Whole lines of plain-format edge-list text: two ASCII-digit fields, LF ending.
 _CANONICAL_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
 # The bulk parser matches and splits the text this many characters at a time.
 # sre keeps backtracking state for every repetition of the group, so a single
@@ -204,15 +202,14 @@ def _decode(data: bytes) -> str:
 
 
 def _parse_canonical(text: str) -> Graph | None:
-    """Parse canonical text in bulk, or return None for any other text.
+    """Parse plain-format text in bulk, or return None for any other text.
 
-    Canonical text is what :func:`render_edge_list` writes: LF endings, no
-    comments or blank lines, one ``u v`` line of ASCII digits per edge with
-    ``u < v``, and the edges in strictly ascending order. Every text this
-    accepts, :func:`_parse_lines` accepts as the same graph; on None it
-    decides the verdict and any error message itself. Each slice's format and
-    pair order are screened as soon as it is read, so text not canonical early
-    on costs one slice; a repeat, or a falling second endpoint, is left to Graph.
+    Plain-format text is LF-ended lines of two ASCII-digit fields with no
+    leading zeros, a header and then exactly the declared number of edges,
+    as :func:`render_edge_list` writes. Its order is not checked here: Graph
+    accepts only canonical edges, and when it refuses, this returns None.
+    Every text this accepts, :func:`_parse_lines` accepts as the same graph;
+    on None it decides the verdict and writes any error message itself.
     """
     edges: list[tuple[int, int]] = []
     start = 0
@@ -225,14 +222,10 @@ def _parse_canonical(text: str) -> Graph | None:
             ints = json.loads("[" + chunk[:-1].replace(" ", ",").replace("\n", ",") + "]")
         except ValueError:  # a leading zero, or a field past the int digit limit
             return None
+        pairs = iter(ints)
         if not start:
-            n, m = ints[:2]
-            del ints[:2]
-        us, vs = ints[0::2], ints[1::2]
-        last_u = edges[-1][0] if edges else 0  # no first endpoint is below 0
-        if not (all(map(lt, us, vs)) and all(map(le, chain((last_u,), us), us))):
-            return None
-        edges += zip(us, vs)
+            n, m = next(pairs), next(pairs)
+        edges += zip(pairs, pairs)
         start = end
     if not text or len(edges) != m:
         return None

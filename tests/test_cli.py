@@ -522,8 +522,9 @@ class TestStreamedReports:
     @pytest.mark.parametrize(
         "argv",
         [["gen", "--family", "path", "--n", "3"], ["index", "--in", "p2.txt"],
-         ["bench", "--n1", "5", "--n2", "5", "--density", "1/2", "--seed", "1"]],
-        ids=["gen", "index", "bench"],
+         ["bench", "--n1", "5", "--n2", "5", "--density", "1/2", "--seed", "1"],
+         ["--help"], ["gen", "--help"]],
+        ids=["gen", "index", "bench", "help", "gen-help"],
     )
     def test_output_to_a_gone_reader_exits_1_with_one_line(self, pipe_inputs, argv, unbuffered):
         # An output smaller than stdout's buffer, to a pipe whose reader is

@@ -341,22 +341,17 @@ class TestEdgeListFormat:
 
     @given(graphs(min_n=0), st.integers(5, 40))
     def test_rendered_text_takes_bulk_path(self, g, slice_chars):
-        # The bulk checks only decide when to give up, so the equivalence
-        # property above cannot see them turn canonical text away.
+        # Graph's refusal only sends text on to the line loop, so the
+        # equivalence property above cannot see the bulk path turn canonical
+        # text away.
         with mock.patch.object(fjoin.graph, "_SLICE_CHARS", slice_chars):
             assert _parse_canonical(render_edge_list(g)) == g
 
-    @pytest.mark.parametrize("edit", ["unsorted", "reversed", "crlf", "leading-zero"])
+    @pytest.mark.parametrize("edit", ["crlf", "leading-zero"])
     def test_bulk_parse_gives_up_in_first_slice(self, edit):
-        # A star's lines still ascend once reversed, so only the pair-order
-        # check can turn them away.
-        g = generate("star", 20_000) if edit == "reversed" else random_graph(5000, 20_000, 1)
-        header, *body = render_edge_list(g).splitlines()
-        if edit == "unsorted":
-            body.reverse()
-        elif edit == "reversed":
-            body = [" ".join(reversed(line.split())) for line in body]
-        elif edit == "leading-zero":
+        # A format fault stops the bulk path in the slice it is in.
+        header, *body = render_edge_list(random_graph(5000, 20_000, 1)).splitlines()
+        if edit == "leading-zero":
             body[0] = "0" + body[0]
         end = "\r\n" if edit == "crlf" else "\n"
         text = end.join([header, *body]) + end
@@ -366,10 +361,30 @@ class TestEdgeListFormat:
             assert _parse_canonical(text) is None
         assert lines.fullmatch.call_count == 1
 
+    @pytest.mark.parametrize("edit", ["unsorted", "reversed"])
+    def test_bulk_parse_leaves_order_to_graph(self, edit):
+        # Edges out of order are read to the end; only Graph turns them away,
+        # and the line loop then reads the same graph.
+        # A star's first fields still ascend once every pair is reversed, so
+        # only the pairs' own order is wrong.
+        g = random_graph(5000, 20_000, 1) if edit == "unsorted" else generate("star", 20_001)
+        header, *body = render_edge_list(g).splitlines()
+        if edit == "unsorted":
+            body.reverse()
+        else:
+            body = [" ".join(reversed(line.split())) for line in body]
+        text = "\n".join([header, *body]) + "\n"
+        with mock.patch.object(
+            fjoin.graph, "_CANONICAL_LINES", wraps=fjoin.graph._CANONICAL_LINES
+        ) as lines:
+            assert _parse_canonical(text) is None
+        assert lines.fullmatch.call_count > 2
+        assert parse_edge_list(text) == _parse_lines(text) == g
+
     @pytest.mark.parametrize("fault", ["duplicate", "falling"])
     def test_late_fault_matches_line_loop(self, fault):
-        # The slice screen passes a repeated edge and a falling second
-        # endpoint under one first endpoint; only Graph, at the end, sees them.
+        # The bulk path reads a repeated edge and a falling second endpoint
+        # like any other line; only Graph, at the end, sees them.
         g = random_graph(5000, 20_000, 1)
         header, *body = render_edge_list(g).splitlines()
         # The last two lines that share a first endpoint.
