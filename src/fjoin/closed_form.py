@@ -1,16 +1,10 @@
 """Closed-form F-index values of the eight composites, plus a family audit.
 
 :func:`theorem_value` evaluates the F-index of each composite purely from
-the two factor invariant bundles, without building anything, by one rule.
-A composite has three vertex blocks: the left originals with degree c * d
-(c = 2 when the original edges survive, else 1), the inserted vertices with
-degree 2 (or d_u + d_v when they are linked) and the right factor with its
-own degrees. The join shifts two blocks by a constant s, and each block
-contributes sum (d + s)^3 = P3 + 3s * P2 + 3s^2 * P1 + s^3 * N over its N
-vertices with degree-power sums P1, P2, P3. For linked inserted vertices
-those sums are M1, HM and M4 + 3 * ReZM of the left factor. The rest of
-the module carries a fixed table of path/cycle specializations for the same
-composites, recorded exactly as tabulated; :func:`audit_examples` checks
+the two factor invariant bundles, without building anything, as one rule,
+:func:`_block`, summed over the composite's three vertex blocks. The rest
+of the module carries a fixed table of path/cycle specializations for the
+same composites, recorded exactly as tabulated; :func:`audit_examples` checks
 every table entry on a grid of constructed operands, one case at a time as
 :func:`case_results` makes them, and reports where the tabulated
 polynomial disagrees with the closed form. Disagreements are
@@ -41,17 +35,21 @@ from .indices import GraphInvariants, invariants
 from .joins import JoinMode, OperationSpec
 from .report import _Batches, _Report, _Rows
 
+# The least order the audit builds of each family. Paths start at 2, one
+# above graph.FAMILIES: the six path entries tabulated from order 1 (examples
+# 1 and 2) disagree with the closed form at every point with a path of order 1.
 _FAMILY_FLOOR = {"path": 2, "cycle": 3}
 
-# Read once at import: the evaluator runs about 10^5 times per audit.
-_SCALE = {kind: 2 if kind.keeps_original_edges else 1 for kind in DerivedKind}
-_LINKED = {kind: kind.links_inserted for kind in DerivedKind}
+# Read once at import: each derived kind's degree scale c on the left
+# originals (2 when the original edges survive, else 1), and whether its
+# inserted vertices are linked.
+_KINDS = {kind: (2 if kind.keeps_original_edges else 1, kind.links_inserted) for kind in DerivedKind}
 
 
-def _shift(count: int, p1: int, p2: int, s: int) -> int:
-    """Sum of (d + s)^3 - d^3 over a block of ``count`` degrees d whose sum
-    is ``p1`` and whose sum of squares is ``p2``."""
-    return s * (3 * p2 + s * (3 * p1 + s * count))
+def _block(count: int, p1: int, p2: int, p3: int, s: int) -> int:
+    """Sum of (d + s)^3 over a block of ``count`` degrees d whose sums of
+    d, d^2 and d^3 are ``p1``, ``p2`` and ``p3``."""
+    return p3 + s * (3 * p2 + s * (3 * p1 + s * count))
 
 
 def theorem_value(
@@ -60,25 +58,21 @@ def theorem_value(
     """Exact F-index of the ``spec`` composite of two factors.
 
     ``inv1`` describes the left (derived) factor, ``inv2`` the right one.
-    The join adds ``n2`` to the degree of every anchor (each left original
-    in vertex mode, each inserted vertex in edge mode) and the anchor count
-    to the degree of every right vertex.
+    The composite's blocks are the left originals (degree c * d), the
+    inserted vertices (degree 2, or d_u + d_v for edge uv when linked) and
+    the right factor, shifted by ``s1``, ``s0`` and ``s2``: the join adds
+    ``n2`` to every anchor (each left original in vertex mode, each
+    inserted vertex in edge mode) and the anchor count to every right vertex.
     """
     n1, m1, n2 = inv1.n, inv1.m, inv2.n
-    c = _SCALE[spec.kind]
-    # p1, p2: the inserted block's sums of d and d^2; value starts as its sum
-    # of d^3. A linked inserted vertex has degree d_u + d_v for its edge uv.
-    if _LINKED[spec.kind]:
-        p1, p2, value = inv1.M1, inv1.HM, inv1.M4 + 3 * inv1.ReZM
-    else:
-        p1, p2, value = 2 * m1, 4 * m1, 8 * m1
-    value += c**3 * inv1.F + inv2.F
-    if spec.mode is JoinMode.VERTEX:
-        return (
-            value + _shift(n1, 2 * c * m1, c * c * inv1.M1, n2)
-            + _shift(n2, 2 * inv2.m, inv2.M1, n1)
-        )
-    return value + _shift(m1, p1, p2, n2) + _shift(n2, 2 * inv2.m, inv2.M1, m1)
+    c, linked = _KINDS[spec.kind]
+    p1, p2, p3 = (inv1.M1, inv1.HM, inv1.M4 + 3 * inv1.ReZM) if linked else (2 * m1, 4 * m1, 8 * m1)
+    s1, s0, s2 = (n2, 0, n1) if spec.mode is JoinMode.VERTEX else (0, n2, m1)
+    return (
+        _block(n1, 2 * c * m1, c * c * inv1.M1, c**3 * inv1.F, s1)
+        + _block(m1, p1, p2, p3, s0)
+        + _block(n2, 2 * inv2.m, inv2.M1, inv2.F, s2)
+    )
 
 
 @dataclass(frozen=True)
@@ -87,8 +81,8 @@ class FamilyCase:
 
     ``value(n, m)`` evaluates the tabulated polynomial for a left factor of
     order ``n`` and a right factor of order ``m``. ``n_min``/``m_min`` give
-    its validity range (tabulated constraint tightened to where the operand
-    families exist at all).
+    its validity range: the tabulated constraint, raised to the audit's
+    floor for each operand family (:data:`_FAMILY_FLOOR`).
     """
 
     example: int
@@ -114,7 +108,7 @@ def _build_table() -> tuple[FamilyCase, ...]:
     S, R, Q, T = DerivedKind
     V, E = JoinMode
     # (example, case, kind, mode, g1 family, g2 family, tabulated n/m floor,
-    #  polynomial in n = |g1|, m = |g2|); floors below family existence get
+    #  polynomial in n = |g1|, m = |g2|); floors below _FAMILY_FLOOR get
     # raised when the FamilyCase is built.
     rows = [
         (1, "i", S, V, "path", "path", 1, 1,

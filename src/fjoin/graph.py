@@ -64,7 +64,7 @@ class Graph:
             # The slow walk names the first fault; if it finds none, the
             # count's own error (a float endpoint, an unallocatable n) stands.
             self._check_edges()
-            counted = self._count()
+            raise
         object.__setattr__(self, "degree_vector", counted)
         # Handshake identity: every edge was counted at both ends.
         assert sum(counted) == 2 * len(self.edges)
@@ -128,10 +128,13 @@ def generate(family: str, n: int) -> Graph:
         raise GraphError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
     if n < FAMILIES[family]:
         raise GraphError(f"{family} needs n >= {FAMILIES[family]}, got {n}")
-    # Allocate the n degree counts and a slot per edge that Graph needs before
-    # any edge, so that a size too large to allocate fails here, not once the
-    # edges fill memory.
-    [0] * n, [None] * {"path": n - 1, "cycle": n, "complete": n * (n - 1) // 2, "star": n - 1}[family]
+    # Check that n indexes a list, allocating nothing, then request the slot per
+    # edge that Graph needs before any edge or degree count, so that a size too
+    # large to allocate fails here, not once the edges fill memory. The cap
+    # keeps an edge count past sys.maxsize failing as out of memory.
+    b"" * n
+    edge_count = {"path": n - 1, "cycle": n, "complete": n * (n - 1) // 2, "star": n - 1}[family]
+    [None] * min(edge_count, sys.maxsize)
     if family == "path":
         edges = [(i, i + 1) for i in range(n - 1)]
     elif family == "cycle":

@@ -101,19 +101,25 @@ class TestGen:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize(
         "n, message",
-        [("100000000000000000000", "fjoin: overflow: "), ("1000000000000", "fjoin: out of memory: ")],
-        ids=["unindexable", "unallocatable"],
+        [
+            ("100000000000000000000", "fjoin: overflow: "),
+            ("1000000000000", "fjoin: out of memory: "),
+            (str(2**63 - 1), "fjoin: out of memory: "),
+            (str(2**63), "fjoin: overflow: "),
+        ],
+        ids=["unindexable", "unallocatable", "maxsize", "past-maxsize"],
     )
     def test_unbuildable_order_exits_3(self, capsys, family, n, message):
-        # The n degree counts are requested before any edge is built.
+        # n is checked to index a list, and the edge slots are requested,
+        # before any edge or degree count is built.
         code, out, err = run(capsys, ["gen", "--family", family, "--n", n])
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith(message)
 
     def test_unbuildable_edge_count_exits_3(self, capsys):
-        # 10^7 degree counts fit; the ~5 * 10^13 edge slots (4 * 10^14 bytes)
-        # are requested before any edge is built, and refused at once.
+        # The ~5 * 10^13 edge slots (4 * 10^14 bytes) are requested before any
+        # edge or degree count is built, and refused at once.
         code, out, err = run(capsys, ["gen", "--family", "complete", "--n", "10000000"])
         assert code == 3
         assert out == ""

@@ -32,6 +32,7 @@ from fjoin.closed_form import (
     GraphInvariants,
     Mismatch,
     _at,
+    _block,
     _fit,
     _M,
     _N,
@@ -70,6 +71,14 @@ def test_closed_form_equals_brute_force(spec, g1, g2):
     """The central identity: formula value equals the built composite's."""
     closed = theorem_value(spec, invariants(g1), invariants(g2))
     assert closed == f_index(f_join(spec, g1, g2).graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 60), max_size=40), st.integers(0, 60))
+def test_block_is_the_shifted_cube_sum(ds, s):
+    """The one rule: a block's power sums and its shift give sum (d + s)^3."""
+    sums = (sum(d**k for d in ds) for k in (1, 2, 3))
+    assert _block(len(ds), *sums, s) == sum((d + s) ** 3 for d in ds)
 
 
 class TestFamilyTable:

@@ -246,6 +246,18 @@ class TestGenerate:
         with pytest.raises(GraphError, match="unknown family"):
             generate("wheel", 5)
 
+    def test_unbuildable_edge_count_is_refused_before_the_degree_counts(self):
+        # The ~5 * 10^13 edge slots are requested first and refused at once,
+        # before the 80 MB of 10^7 degree counts.
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError):
+                generate("complete", 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestEdgeListFormat:
     def test_parse_basic(self):
