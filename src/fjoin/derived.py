@@ -13,11 +13,10 @@ factor's vertices after both blocks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, combinations
-from typing import Iterable
 
 from .graph import Graph, GraphError
 
@@ -90,34 +89,47 @@ class ProvenancedGraph:
 
     @property
     def origin_edge(self) -> dict[int, tuple[int, int]]:
-        return dict(enumerate(self.source.edges, self.source.n))
+        return dict(enumerate(zip(self.source.us, self.source.vs), self.source.n))
 
 
 @lru_cache(maxsize=len(DerivedKind))
 def derive(kind: DerivedKind, source: Graph) -> ProvenancedGraph:
     """Build the derived graph of ``kind`` over ``source``.
 
-    The three edge groups (subdivision, original, inserted-inserted) are
-    disjoint by construction and each pair in them is ordered, so one sort
-    makes them canonical; a duplicate edge is a bug and ``Graph`` rejects it.
-    A left factor serves several composites in turn, so the cache keeps the
-    last four derived graphs and their sources alive.
+    The edges are built in canonical order, from the layout: each source
+    vertex's original edges (R, T), then its inserted neighbours; then each
+    inserted vertex's links to the later inserted vertices at either of its
+    endpoints (Q, T). A left factor serves several composites in turn, so
+    the cache keeps the last four derived graphs and their sources alive.
     """
-    n = source.n
-    inserted = list(enumerate(source.edges, n))
-    groups: list[Iterable[tuple[int, int]]] = [
-        [(u, w) for w, (u, v) in inserted],
-        [(v, w) for w, (u, v) in inserted],
-    ]
-    if kind.keeps_original_edges:
-        groups.append(source.edges)
+    n, src_us, src_vs = source.n, source.us, source.vs
+    inserted = range(n, n + source.m)
+    # The inserted vertices at each source vertex, ascending.
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for w, u, v in zip(inserted, src_us, src_vs):
+        incident[u].append(w)
+        incident[v].append(w)
+    keeps = kind.keeps_original_edges
+    us: list[int] = []
+    vs: list[int] = []
+    start = 0
+    for x, ws in enumerate(incident):
+        if keeps:
+            end = bisect_left(src_us, x + 1, start)
+            us += [x] * (end - start)
+            vs += src_vs[start:end]
+            start = end
+        us += [x] * len(ws)
+        vs += ws
     if kind.links_inserted:
-        # Bucket inserted vertices by shared source endpoint; each bucket
-        # contributes one clique, and edges sharing an endpoint pair up once.
-        incident: list[list[int]] = [[] for _ in range(n)]
-        for w, (u, v) in inserted:
-            incident[u].append(w)
-            incident[v].append(w)
-        groups.extend(combinations(bucket, 2) for bucket in incident)
-    graph = Graph(n + source.m, tuple(sorted(chain.from_iterable(groups))))
+        # Inserted vertices whose edges share an endpoint are linked once,
+        # from the lower id; the two endpoints' later ids are disjoint.
+        seen = [0] * n
+        for w, u, v in zip(inserted, src_us, src_vs):
+            seen[u] += 1
+            seen[v] += 1
+            later = sorted(incident[u][seen[u]:] + incident[v][seen[v]:])
+            us += [w] * len(later)
+            vs += later
+    graph = Graph._of_columns(n + source.m, tuple(us), tuple(vs))
     return ProvenancedGraph(graph, source)

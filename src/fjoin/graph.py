@@ -1,8 +1,9 @@
 """Simple undirected graphs: construction, named families, text I/O, sampling.
 
-Vertices are dense 0-based integers. Edges are stored canonically as sorted
-``(u, v)`` pairs with ``u < v``, and a graph is immutable once built, so two
-graphs with the same vertex count and edge set compare equal structurally.
+Vertices are dense 0-based integers. Edges are canonical ``(u, v)`` pairs with
+``u < v`` in ascending order, stored as two int columns, and a graph is
+immutable once built, so two graphs with the same vertex count and edge set
+compare equal structurally.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 # The named families and the least order each exists at: shorter cycles would
 # need loops or doubled edges, and a star needs its hub and one leaf.
@@ -21,9 +22,10 @@ FAMILIES = {"path": 1, "cycle": 3, "complete": 1, "star": 2}
 # Whole lines of plain-format edge-list text: two ASCII-digit fields, LF ending.
 _CANONICAL_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
 # The bulk parser matches and splits the text this many characters at a time.
-# sre keeps backtracking state for every repetition of the group, so a single
-# match over a 300 K-edge text would hold tens of MB of it.
-_SLICE_CHARS = 1 << 16
+# sre keeps backtracking state for every repetition of the group, about 22
+# bytes a character: a single match over a 300 K-edge text would hold tens of
+# MB of it, and one over a 64 K slice more than a 20 K-edge graph's columns.
+_SLICE_CHARS = 1 << 14
 
 
 class GraphError(ValueError):
@@ -41,63 +43,79 @@ class ParseError(GraphError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
     """An immutable simple graph on vertices ``0..n-1``.
 
-    ``edges`` must already be canonical: each pair sorted, no loops, no
-    duplicates, the whole tuple in ascending order. Use :meth:`from_edges`
-    to build from arbitrary pair iterables. ``degree_vector``, the degrees
-    by vertex id, is counted once at construction and is not a dataclass
-    field, so it takes no part in equality, hashing or ``repr``.
+    ``Graph(n, edges)`` takes a sequence of canonical pairs: each pair sorted,
+    no loops, no duplicates, the whole sequence in ascending order. Use
+    :meth:`from_edges` to build from arbitrary pair iterables. The edges are
+    stored as two int columns, ``us`` the first endpoints and ``vs`` the
+    second, so the ``i``-th edge is ``(us[i], vs[i])``; :attr:`edges` zips
+    them. ``degree_vector``, the degrees by vertex id, is counted once at
+    construction and is not a dataclass field, so it takes no part in
+    equality, hashing or ``repr``.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    us: tuple[int, ...]
+    vs: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise GraphError(f"vertex count must be nonnegative, got {self.n}")
+    def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         try:
-            counted = self._count()
+            self._fill(n, tuple([u for u, _ in edges]), tuple([v for _, v in edges]))
         except Exception:
-            # The slow walk names the first fault; if it finds none, the
-            # count's own error (a float endpoint, an unallocatable n) stands.
-            self._check_edges()
+            # The slow walk names the first fault; if it finds none, the error
+            # raised stands (a float endpoint, an unallocatable n, a pair of
+            # the wrong arity).
+            self._check_edges(n, edges)
             raise
-        object.__setattr__(self, "degree_vector", counted)
-        # Handshake identity: every edge was counted at both ends.
-        assert sum(counted) == 2 * len(self.edges)
 
-    def _count(self) -> tuple[int, ...]:
-        """The checks of :meth:`_check_edges` and the degree count in one pass:
-        the degrees when the first endpoint is nonnegative, each pair ascends,
-        the tuple strictly ascends (so no duplicates) and every endpoint
-        indexes the ``n`` counts, else an exception."""
-        edges = self.edges
-        out = [0] * self.n
-        if edges and edges[0][0] < 0:
+    @classmethod
+    def _of_columns(cls, n: int, us: tuple[int, ...], vs: tuple[int, ...]) -> Graph:
+        """The graph with edges ``zip(us, vs)``, built without a pair per edge.
+        It accepts what ``Graph(n, edges)`` accepts, but a refusal does not
+        name its fault."""
+        graph = cls.__new__(cls)
+        graph._fill(n, us, vs)
+        return graph
+
+    def _fill(self, n: int, us: tuple[int, ...], vs: tuple[int, ...]) -> None:
+        """The checks of :meth:`_check_edges` and the degree count in one pass.
+        When ``n`` and the first endpoint are nonnegative, the columns are the
+        same length, each pair ascends, the pairs strictly ascend (so no
+        duplicates) and every endpoint indexes the ``n`` counts, it stores the
+        columns and the degrees; else it raises an exception whose message
+        need not name the fault."""
+        out = [0] * n
+        if n < 0 or (us and us[0] < 0) or len(us) != len(vs):
             raise GraphError("edge tuple is not canonical")
         pu = pv = -1
-        for u, v in edges:
+        for u, v in zip(us, vs):
             if not (u < v and (pu < u or (pu == u and pv < v))):
                 raise GraphError("edge tuple is not canonical")
             out[u] += 1
             out[v] += 1
             pu, pv = u, v
-        return tuple(out)
+        vars(self).update(n=n, us=us, vs=vs, degree_vector=tuple(out))
+        # Handshake identity: every edge was counted at both ends.
+        assert sum(out) == 2 * len(us)
 
-    def _check_edges(self) -> None:
-        """Walk the edges one at a time and raise on the first fault found."""
+    @staticmethod
+    def _check_edges(n: int, edges: Iterable[tuple[int, int]]) -> None:
+        """Check ``n``, then walk the edges one at a time, and raise on the
+        first fault found."""
+        if n < 0:
+            raise GraphError(f"vertex count must be nonnegative, got {n}")
         previous = None
         seen: set[tuple[int, int]] = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if u > v:
                 raise GraphError(f"edge ({u}, {v}) not in (min, max) order")
-            if not 0 <= u < self.n or not v < self.n:
-                raise GraphError(f"edge ({u}, {v}) out of range for n={self.n}")
+            if not 0 <= u < n or not v < n:
+                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
             if (u, v) in seen:
                 raise GraphError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
@@ -107,13 +125,18 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.us)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The canonical edge pairs, zipped from the columns on every access:
+        a loop that reads them more than once should hold them once."""
+        return tuple(zip(self.us, self.vs))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         """Build a graph from edge pairs in any order and orientation."""
-        canonical = sorted((u, v) if u <= v else (v, u) for u, v in edges)
-        return cls(n, tuple(canonical))
+        return cls(n, sorted((u, v) if u <= v else (v, u) for u, v in edges))
 
 
 def degrees(graph: Graph) -> list[int]:
@@ -128,23 +151,23 @@ def generate(family: str, n: int) -> Graph:
         raise GraphError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
     if n < FAMILIES[family]:
         raise GraphError(f"{family} needs n >= {FAMILIES[family]}, got {n}")
-    # Check that n indexes a list, allocating nothing, then request the slot per
-    # edge that Graph needs before any edge or degree count, so that a size too
+    # Check that n indexes a list, allocating nothing, then request one edge
+    # column's slots before any edge or degree count, so that a size too
     # large to allocate fails here, not once the edges fill memory. The cap
     # keeps an edge count past sys.maxsize failing as out of memory.
     b"" * n
     edge_count = {"path": n - 1, "cycle": n, "complete": n * (n - 1) // 2, "star": n - 1}[family]
     [None] * min(edge_count, sys.maxsize)
     if family == "path":
-        edges = [(i, i + 1) for i in range(n - 1)]
+        us, vs = range(n - 1), range(1, n)
     elif family == "cycle":
-        edges = [(i, i + 1) for i in range(n - 1)]
-        edges.insert(1, (0, n - 1))
+        us, vs = (0, *range(n - 1)), (1, n - 1, *range(2, n))
     elif family == "complete":
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        us = [u for u in range(n) for _ in range(u + 1, n)]
+        vs = [v for u in range(n) for v in range(u + 1, n)]
     else:
-        edges = [(0, leaf) for leaf in range(1, n)]
-    return Graph(n, tuple(edges))
+        us, vs = [0] * (n - 1), range(1, n)
+    return Graph._of_columns(n, tuple(us), tuple(vs))
 
 
 def random_graph(n: int, m: int, seed: int) -> Graph:
@@ -170,14 +193,16 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
             f"more than random.sample can index ({sys.maxsize})"
         )
     ranks = sorted(random.Random(seed).sample(range(total), m)) if m else ()
-    edges = []
+    us = []
+    vs = []
     u, start = 0, 0  # row u holds ranks [start, start + n - 1 - u), v = u + 1 first
     for rank in ranks:
         while rank >= start + n - 1 - u:
             start += n - 1 - u
             u += 1
-        edges.append((u, rank - start + u + 1))
-    return Graph(n, tuple(edges))
+        us.append(u)
+        vs.append(rank - start + u + 1)
+    return Graph._of_columns(n, tuple(us), tuple(vs))
 
 
 def parse_edge_list(text: str | bytes) -> Graph:
@@ -209,12 +234,14 @@ def _parse_canonical(text: str) -> Graph | None:
 
     Plain-format text is LF-ended lines of two ASCII-digit fields with no
     leading zeros, a header and then exactly the declared number of edges,
-    as :func:`render_edge_list` writes. Its order is not checked here: Graph
-    accepts only canonical edges, and when it refuses, this returns None.
+    as :func:`render_edge_list` writes. Its order is not checked here: the
+    edges go to Graph as two columns, and when Graph refuses them, which it
+    does without naming the fault, this returns None.
     Every text this accepts, :func:`_parse_lines` accepts as the same graph;
     on None it decides the verdict and writes any error message itself.
     """
-    edges: list[tuple[int, int]] = []
+    us = []
+    vs = []
     start = 0
     while start < len(text):
         end = text.rfind("\n", start, start + _SLICE_CHARS) + 1
@@ -225,16 +252,20 @@ def _parse_canonical(text: str) -> Graph | None:
             ints = json.loads("[" + chunk[:-1].replace(" ", ",").replace("\n", ",") + "]")
         except ValueError:  # a leading zero, or a field past the int digit limit
             return None
-        pairs = iter(ints)
         if not start:
-            n, m = next(pairs), next(pairs)
-        edges += zip(pairs, pairs)
+            n, m = ints[0], ints[1]
+            del ints[:2]
+        us += ints[0::2]
+        vs += ints[1::2]
         start = end
-    if not text or len(edges) != m:
+    if not text or len(us) != m:
         return None
+    # Rebound, so that each list is freed once its tuple is made.
+    us = tuple(us)
+    vs = tuple(vs)
     try:
-        return Graph(n, tuple(edges))
-    except (GraphError, MemoryError, OverflowError):
+        return Graph._of_columns(n, us, vs)
+    except (GraphError, IndexError, MemoryError, OverflowError):
         return None
 
 
@@ -289,5 +320,5 @@ def _parse_lines(text: str) -> Graph:
 def render_edge_list(graph: Graph) -> str:
     """Serialize a graph to the edge-list text format (LF line endings)."""
     lines = [f"{graph.n} {graph.m}"]
-    lines.extend(f"{u} {v}" for u, v in graph.edges)
+    lines.extend(f"{u} {v}" for u, v in zip(graph.us, graph.vs))
     return "\n".join(lines) + "\n"

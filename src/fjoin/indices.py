@@ -6,6 +6,8 @@ edge-sum forms (each edge contributes one power of each endpoint degree);
 the cheap form is used for the value and the other form backs a debug-mode
 cross-check under ``assert``. The edge indices M2, HM and ReZM exist only
 as fields of the bundle, which :func:`invariants` fills in one edge pass.
+Edge sums read the graph's two endpoint columns, ``graph.us`` and
+``graph.vs``, and build no pair per edge.
 """
 
 from __future__ import annotations
@@ -63,14 +65,15 @@ general_first_zagreb = power_sum
 
 
 def power_sum_edge_form(graph: Graph, a: int) -> int:
-    """Sum of ``deg(u) ** (a-1) + deg(v) ** (a-1)`` over edges.
+    """Sum of ``deg(u) ** (a-1) + deg(v) ** (a-1)`` over edges, summed one
+    endpoint column at a time.
 
     Equals :func:`power_sum` for the same ``a``: each vertex is hit once per
     incident edge, collecting deg(v) copies of ``deg(v) ** (a-1)``.
     """
     _check_power(a)
     powered = [d ** (a - 1) for d in graph.degree_vector]
-    return sum(powered[u] + powered[v] for u, v in graph.edges)
+    return sum(map(powered.__getitem__, graph.us)) + sum(map(powered.__getitem__, graph.vs))
 
 
 def first_zagreb(graph: Graph) -> int:
@@ -88,9 +91,10 @@ def invariants(graph: Graph) -> GraphInvariants:
     distribution plus one pass over edges.
 
     The vertex sums run over the degree distribution rather than raw
-    vertices. The edge pass accumulates M2 and ReZM; HM follows from the
-    identity HM = F + 2 * M2, since each edge (u, v) adds
-    deg(u)^2 + deg(v)^2 to F and 2 * deg(u) * deg(v) to 2 * M2.
+    vertices. The edge pass walks the two endpoint columns together and
+    accumulates M2 and ReZM; HM follows from the identity HM = F + 2 * M2,
+    since each edge (u, v) adds deg(u)^2 + deg(v)^2 to F and
+    2 * deg(u) * deg(v) to 2 * M2.
     """
     deg = graph.degree_vector
     m1 = f = m4 = 0
@@ -100,7 +104,7 @@ def invariants(graph: Graph) -> GraphInvariants:
         f += count * d2 * d
         m4 += count * d2 * d2
     m2 = rezm_value = 0
-    for u, v in graph.edges:
+    for u, v in zip(graph.us, graph.vs):
         du = deg[u]
         dv = deg[v]
         product = du * dv

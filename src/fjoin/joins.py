@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, product
 
 from .derived import DerivedKind, ProvenancedGraph, VertexTag, derive
 from .graph import Graph, GraphError
@@ -59,21 +58,28 @@ def f_join(spec: OperationSpec, g1: Graph, g2: Graph) -> ProvenancedGraph:
     """
     base = derive(spec.kind, g1)
     block = VertexTag.ORIGINAL_G1 if spec.mode is JoinMode.VERTEX else VertexTag.INSERTED
-    left = base.graph.edges
+    left_us, left_vs = base.graph.us, base.graph.vs
     offset = base.graph.n
-    right_ids = tuple(range(offset, offset + g2.n))
+    n2 = g2.n
+    right_ids = tuple(range(offset, offset + n2))
     # Canonical order as built: each anchor's left edges, then its cross edges
     # (right ids exceed every left id); then the other left edges and the right
-    # edges, shifted and re-paired. One list copied once: a tuple grown from
-    # iterators, or a tuple per anchor, has the cyclic collector re-traverse it.
-    edges: list[tuple[int, int]] = []
+    # edges, shifted. Every anchor's second endpoints are the one right_ids.
+    us = []
+    vs = []
     start = 0
     for anchor in base.ids(block):
-        end = bisect_left(left, (anchor + 1,), start)
-        edges += left[start:end]
-        edges += product((anchor,), right_ids)
+        end = bisect_left(left_us, anchor + 1, start)
+        us += left_us[start:end]
+        vs += left_vs[start:end]
+        us += [anchor] * n2
+        vs += right_ids
         start = end
-    edges += left[start:]
-    shifted = map(offset.__add__, chain.from_iterable(g2.edges))
-    edges += zip(shifted, shifted)
-    return ProvenancedGraph(Graph(offset + g2.n, tuple(edges)), g1)
+    us += left_us[start:]
+    vs += left_vs[start:]
+    us += map(offset.__add__, g2.us)
+    vs += map(offset.__add__, g2.vs)
+    # Rebound, so that each list is freed once its tuple is made.
+    us = tuple(us)
+    vs = tuple(vs)
+    return ProvenancedGraph(Graph._of_columns(offset + n2, us, vs), g1)
