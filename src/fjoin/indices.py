@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 
 from .graph import Graph, GraphError
 
@@ -73,7 +74,9 @@ def power_sum_edge_form(graph: Graph, a: int) -> int:
     """
     _check_power(a)
     powered = [d ** (a - 1) for d in graph.degree_vector]
-    return sum(map(powered.__getitem__, graph.us)) + sum(map(powered.__getitem__, graph.vs))
+    if graph.m < 2:  # itemgetter needs an index, and of one gives a bare item
+        return sum(map(powered.__getitem__, graph.us)) + sum(map(powered.__getitem__, graph.vs))
+    return sum(itemgetter(*graph.us)(powered)) + sum(itemgetter(*graph.vs)(powered))
 
 
 def first_zagreb(graph: Graph) -> int:

@@ -86,7 +86,16 @@ def _composites():
     return [f_join(spec, corpus["cycle-8"], corpus["complete-5"]).graph for spec in ALL_SPECS]
 
 
-@pytest.mark.parametrize("g", [Graph(0, ()), *_composites()], ids=["empty", *map(str, ALL_SPECS)])
+# At most two edges: itemgetter takes no index at m = 0 and returns a bare
+# item, not a tuple, at m = 1.
+_SMALL = [Graph(0, ()), Graph(3, ()), Graph(2, ((0, 1),)), Graph(4, ((1, 3),)), generate("path", 3)]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [*_SMALL, *_composites()],
+    ids=["empty", "edgeless", "k2", "one-edge", "two-edges", *map(str, ALL_SPECS)],
+)
 def test_edge_form_matches_builtin_reference(g):
     assert_edge_form_matches_reference(g)
 
