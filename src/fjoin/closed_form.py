@@ -361,11 +361,21 @@ def _polynomials(fits: tuple[tuple[str, _Fit], ...]) -> tuple[tuple[_Poly, _Poly
 
 def _rows(poly: _Poly, ns: range, ms: list[int]) -> Iterator[list[int]]:
     """``poly`` at (n, m) for each m in ``ms``, a row for each of the
-    consecutive orders n in ``ns``: the first rows term by term, each later
-    one from the last by forward differences in n."""
+    consecutive orders n in ``ns``. The first degree + 1 rows are seeded by
+    Horner's rule in m: at each order n the terms fold into one coefficient
+    per power of m, and each power is one pass across ``ms``. Each later row
+    comes from the last by forward differences in n."""
     degree = max((i for i, _ in poly.terms), default=0)
-    table = [[sum(c * n**i * m**j for (i, j), c in poly.terms.items()) for m in ms]
-             for n in range(ns.start, ns.start + degree + 1)]
+    width = max((j for _, j in poly.terms), default=0) + 1
+    table = []
+    for n in range(ns.start, ns.start + degree + 1):
+        coefficients = [0] * width
+        for (i, j), c in poly.terms.items():
+            coefficients[j] += c * n**i
+        row = [coefficients.pop()] * len(ms)
+        for c in reversed(coefficients):
+            row = list(map(add, map(mul, row, ms), repeat(c)))
+        table.append(row)
     for k in range(degree):  # table[t] becomes the t-th difference at ns.start
         table[k + 1:] = [list(map(sub, high, low)) for low, high in zip(table[k:], table[k + 1:])]
     for _ in ns:

@@ -110,13 +110,21 @@ def _row_template(keys: tuple, indent: str) -> str:
 
 
 def _format_rows(row: str, tuples: Sequence[tuple], sep: str, indent: str) -> str:
-    """``tuples`` written by the template ``row``, whose fields are at
-    ``indent``, and joined by ``sep``: one ``%`` format for them all."""
-    columns = list(zip(*tuples))
-    written = [_json_column(column, indent) for column in columns]
-    # Columns all written as they are (or no keys: "{}" % ()) are the rows.
-    rows = tuples if written == columns else zip(*written)
-    return sep.join([row] * len(tuples)) % tuple(chain.from_iterable(rows))
+    """Nonempty ``tuples`` written by the template ``row``, whose fields are
+    at ``indent``, and joined by ``sep``: one ``%`` format for them all.
+
+    A table whose values' types are all exactly ``int`` (``bool`` and
+    ``IntEnum`` are not) is flattened once and written as it is; the first
+    row's types rule most other tables out before the flatten. Any other
+    table is written a column at a time by :func:`_json_column`.
+    """
+    values = tuple(chain.from_iterable(tuples)) if set(map(type, tuples[0])) == {int} else ()
+    if set(map(type, values)) != {int}:
+        written = [_json_column(column, indent) for column in zip(*tuples)]
+        values = tuple(chain.from_iterable(zip(*written)))
+    # Flattened before the template is joined: in the other order the
+    # benchmark's audit-grid round read about 4 % slower.
+    return sep.join([row] * len(tuples)) % values
 
 
 def _json_column(column: tuple, indent: str):

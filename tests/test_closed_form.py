@@ -287,6 +287,9 @@ class TestIdentityAudit:
 @example({}, 0, 4, [3, 4, 5])
 @example({(7, 7): -123456789, (0, 0): 98}, 1, 9, [])
 @example({(0, 0): 0, (3, 2): -17}, 0, 1, [0, 1, -1])
+@example({(0, 7): 3, (0, 0): -5}, 2, 5, [0, -2, 0, 9])
+@example({(4, 0): 2, (1, 0): -1}, 0, 3, [5, 6])
+@example({(7, 7): 1, (6, 0): -3, (0, 6): 4}, 0, 10, list(range(-3, 9)))
 def test_rows_equal_the_term_by_term_sum(terms, start, count, ms):
     # Any coefficients (zero ones dropped), any columns, first rows at orders 0 to 4.
     poly = _Poly(terms.items())

@@ -91,6 +91,10 @@ class TestIndentedJsonTables:
     @example(_Rows(("flag", "level", "x"), [(True, _Level.LOW, float("nan")), (False, _Level.HIGH, -0.0)]))
     @example([_Rows(("v",), [(1,), (True,), (1.5,), (None,), (_Level.LOW,), ("s",), ({"k": [1]},)])])
     @example({"rows": _Rows(("nested", "text"), [([{"a": "},\n  {"}], "\u00e9\ud800"), ((), "")])})
+    # Exact ints are written as they are; a bool or IntEnum among them is not.
+    @example(_Rows(("n", "m"), [(1, 2), (3, True)]))
+    @example(_Rows(("n", "m"), [(1, _Level.LOW), (2, 3)]))
+    @example(_Rows(("n", "m", "f", "o"), [(3, 4, 10**30, -7)] * 3))
     def test_matches_json_dumps_of_dict_rows(self, obj):
         assert _indented_json(obj) == json.dumps(dict_rows(obj), indent=2)
 
@@ -123,6 +127,7 @@ class TestPieces:
     @given(_report_trees(), st.sampled_from(["", "\n"]))
     @example({"rows": _Batched((), [[], []])}, "")
     @example({"rows": _Batched(("a",), [[], [(1,)], [], [(2,), (3,)]]), "summary": {"n": 3}}, "\n")
+    @example({"rows": _Batched(("a", "b"), [[(1, 2)], [(3, False)]])}, "")
     def test_join_to_json_dumps_with_a_piece_per_nonempty_batch(self, tree, end):
         def batched(value):
             return _Batches(value.keys, iter(value.batches)) if isinstance(value, _Batched) else value
