@@ -12,6 +12,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 # The named families and the least order each exists at: shorter cycles would
@@ -238,7 +239,8 @@ def _parse_canonical(text: str) -> Graph | None:
     leading zeros, a header and then exactly the declared number of edges,
     as :func:`render_edge_list` writes. Its order is not checked here: the
     edges go to Graph as two columns, and when Graph refuses them, which it
-    does without naming the fault, this returns None.
+    does without naming the fault, they go again sorted as
+    :meth:`Graph.from_edges` sorts them; a second refusal returns None.
     Every text this accepts, :func:`_parse_lines` accepts as the same graph;
     on None it decides the verdict and writes any error message itself.
     """
@@ -266,7 +268,11 @@ def _parse_canonical(text: str) -> Graph | None:
     us = tuple(us)
     vs = tuple(vs)
     try:
-        return Graph._of_columns(n, us, vs)
+        try:
+            return Graph._of_columns(n, us, vs)
+        except GraphError:  # out of order: sort as from_edges does, and try once more
+            pairs = sorted((u, v) if u <= v else (v, u) for u, v in zip(us, vs))
+            return Graph._of_columns(n, tuple([u for u, _ in pairs]), tuple([v for _, v in pairs]))
     except (GraphError, IndexError, MemoryError, OverflowError):
         return None
 
@@ -327,6 +333,4 @@ def _parse_lines(text: str) -> Graph:
 
 def render_edge_list(graph: Graph) -> str:
     """Serialize a graph to the edge-list text format (LF line endings)."""
-    lines = [f"{graph.n} {graph.m}"]
-    lines.extend(f"{u} {v}" for u, v in zip(graph.us, graph.vs))
-    return "\n".join(lines) + "\n"
+    return f"{graph.n} {graph.m}\n" + "%s %s\n" * graph.m % tuple(chain.from_iterable(zip(graph.us, graph.vs)))

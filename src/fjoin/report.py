@@ -1,14 +1,14 @@
 """Report JSON: a report's tree laid out exactly as ``json.dumps(..., indent=2)``,
 as pieces written while the report is produced.
 
-A :class:`_Report` builds its tree in ``_tree()``, each list of rows in it a
-:class:`_Rows` table, written one ``%`` format a table. A top-level value
-may instead be :class:`_Batches`, a table whose rows come a batch at a time.
-:func:`pieces` yields the text up to and including each batch as one piece,
-as soon as the batch is made, and the rest as a last piece, so values after
-the batches (a summary counted over them) are read only once every batch is
-written. ``to_json`` joins the pieces, ``as_dict`` parses that text, and the
-CLI writes each piece as it comes.
+A :class:`_Report` builds its tree in ``_tree()``. Its tables, a top-level
+:class:`_Batches` whose rows come a batch at a time and any :class:`_Rows`
+in a table's cells, are written one ``%`` format a table, all else by
+``json.dumps``. :func:`pieces` yields the text up to and including each
+batch as one piece, as soon as the batch is made, and the rest as a last
+piece, so values after the batches (a summary counted over them) are read
+only once every batch is written. ``to_json`` joins the pieces,
+``as_dict`` parses that text, and the CLI writes each piece as it comes.
 """
 
 from __future__ import annotations
@@ -77,22 +77,17 @@ def _json_key(key) -> str:
 
 
 def _indented_json(obj, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)`` byte for byte, for trees of dicts, lists,
-    tuples and JSON scalars, with :class:`_Rows` written as its dict rows;
-    ``indent`` is a newline and ``obj``'s own indent."""
-    inner = indent + "  "
+    """``json.dumps(obj, indent=2)`` at ``indent``, a newline and ``obj``'s own
+    indent, with a :class:`_Rows` table written as its dict rows. A table sits
+    only at the top of ``obj`` or in its rows' cells, never deeper in a tree."""
     if isinstance(obj, _Rows):
         if not obj.tuples:
             return "[]"
+        inner = indent + "  "
         rows = _format_rows(_row_template(obj.keys, inner), obj.tuples, "," + inner, inner + "  ")
         return "[" + inner + rows + indent + "]"
-    if isinstance(obj, dict) and obj:
-        fields = (f"{_json_key(k)}: {_indented_json(v, inner)}" for k, v in obj.items())
-        return "{" + inner + ("," + inner).join(fields) + indent + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        items = (_indented_json(item, inner) for item in obj)
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    return json.dumps(obj)  # a scalar, {} or []
+    # Without an indent json.dumps takes its C encoder; a scalar needs none.
+    return json.dumps(obj, indent=2 if isinstance(obj, (dict, list, tuple)) else None).replace("\n", indent)
 
 
 def _row_template(keys: tuple, indent: str) -> str:

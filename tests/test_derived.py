@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 
@@ -64,6 +66,21 @@ def test_provenance(kind, g):
             adjacency[b].add(a)
     for w, (u, v) in pg.origin_edge.items():
         assert adjacency[w] == {u, v}
+
+
+@pytest.mark.parametrize("kind", list(DerivedKind))
+@given(graphs())
+def test_edges_are_the_definition(kind, g):
+    # Inserted vertex n + i joins both ends of the i-th edge; R and T keep
+    # the edges; Q and T link the inserted vertices of edges that touch.
+    n, edges = g.n, g.edges
+    expected = {(end, n + i) for i, edge in enumerate(edges) for end in edge}
+    if kind.keeps_original_edges:
+        expected.update(edges)
+    if kind.links_inserted:
+        expected.update((n + i, n + j) for i, j in combinations(range(len(edges)), 2)
+                        if set(edges[i]) & set(edges[j]))
+    assert derive(kind, g).graph.edges == tuple(sorted(expected))
 
 
 def test_subdivided_path_is_longer_path():

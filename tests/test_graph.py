@@ -368,6 +368,8 @@ class TestEdgeListFormat:
     @example("3 2\n0 1\n1 3\n", 40)  # a vertex id equal to n
     @example("3 2\n1 2\n0 1\n", 40)  # unsorted
     @example("3 2\n0 1\n0 1\n", 40)  # duplicate
+    @example("3 2\n0 1\n1 0\n", 40)  # a duplicate that only the sorted retry meets
+    @example("3 2\n1 1\n0 1\n", 40)  # a self-loop before an unsorted edge
     @example("3 1\n1 0\n", 40)  # reversed
     @example("2 1\n0\x1c1\n", 40)  # a separator splitlines breaks at
     @example("2 1\n0 1", 40)  # no final newline
@@ -407,7 +409,7 @@ class TestEdgeListFormat:
     @pytest.mark.parametrize("edit", ["unsorted", "reversed"])
     def test_bulk_parse_leaves_order_to_graph(self, edit):
         # Edges out of order are read to the end; only Graph turns them away,
-        # and the line loop then reads the same graph.
+        # and the bulk path sorts them and reads the graph without the line loop.
         # A star's first fields still ascend once every pair is reversed, so
         # only the pairs' own order is wrong.
         g = random_graph(5000, 20_000, 1) if edit == "unsorted" else generate("star", 20_001)
@@ -417,10 +419,12 @@ class TestEdgeListFormat:
         else:
             body = [" ".join(reversed(line.split())) for line in body]
         text = "\n".join([header, *body]) + "\n"
-        with mock.patch.object(fjoin.graph, "_is_plain", wraps=fjoin.graph._is_plain) as screen:
-            assert _parse_canonical(text) is None
-        assert screen.call_count > 2
-        assert parse_edge_list(text) == _parse_lines(text) == g
+        with mock.patch.object(
+            fjoin.graph, "_is_plain", wraps=fjoin.graph._is_plain
+        ) as screen, mock.patch.object(fjoin.graph, "_parse_lines", side_effect=AssertionError):
+            assert _parse_canonical(text) == parse_edge_list(text) == g
+        assert screen.call_count > 4  # each read went past its first two slices
+        assert _parse_lines(text) == g
 
     @pytest.mark.parametrize("fault", ["duplicate", "falling"])
     def test_late_fault_matches_line_loop(self, fault):
