@@ -87,19 +87,30 @@ class Graph:
         same length, each pair ascends, the pairs strictly ascend (so no
         duplicates) and every endpoint indexes the ``n`` counts, it stores the
         columns and the degrees; else it raises an exception whose message
-        need not name the fault."""
+        need not name the fault. Each run of one first endpoint in the
+        ascending ``us`` adds its length to that count once, when it ends."""
         out = [0] * n
         if n < 0 or (us and us[0] < 0) or len(us) != len(vs):
             raise GraphError("edge tuple is not canonical")
         pu = pv = -1
+        run = 0  # the edges so far under first endpoint pu
         for u, v in zip(us, vs):
             # Under the same first endpoint u = pu < pv, so pv < v alone
             # gives both u < v and the ascent.
-            if not (u == pu and pv < v or pu < u < v):
+            if u == pu and pv < v:
+                run += 1
+            elif pu < u < v:
+                if run:
+                    out[pu] += run
+                pu = u
+                run = 1
+            else:
                 raise GraphError("edge tuple is not canonical")
-            out[u] += 1
+            out[u]  # a float equal to pu joins its run; only an index refuses it
             out[v] += 1
-            pu, pv = u, v
+            pv = v
+        if run:
+            out[pu] += run
         vars(self).update(n=n, us=us, vs=vs, degree_vector=tuple(out))
         # Handshake identity: every edge was counted at both ends.
         assert sum(out) == 2 * len(us)

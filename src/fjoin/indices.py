@@ -7,21 +7,28 @@ the cheap form is used for the value and the other form backs a debug-mode
 cross-check under ``assert``. The edge indices M2, HM and ReZM exist only
 as fields of the bundle, which :func:`invariants` fills in one edge pass.
 Edge sums read the graph's two endpoint columns, ``graph.us`` and
-``graph.vs``, and build no pair per edge.
+``graph.vs``, and build no pair per edge; on a dense graph the edge form
+sums the ascending first column by runs of one first endpoint.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, mul, sub
 
 from .graph import Graph, GraphError
 
 # Degree-power sums are only meaningful here up to the fourth power; the cap
 # just guards against runaway exponents from bad call sites.
 MAX_POWER = 8
+# The edge form sums a first column by runs past this many edges a vertex: on
+# random graphs of 40-300 vertices, n + 1 bisections cost 1.1-1.5x the m
+# lookups at 12, about the same at 16-20 and 0.75-0.8x at 24.
+_DENSE = 16
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,9 @@ class GraphInvariants:
 
 
 def _check_power(a: int) -> None:
-    if not 1 <= a <= MAX_POWER:
-        raise GraphError(f"power must be in [1, {MAX_POWER}], got {a}")
+    # Exactly int: a float power would make a float sum, and a bool is no power.
+    if type(a) is not int or not 1 <= a <= MAX_POWER:
+        raise GraphError(f"power must be an int in [1, {MAX_POWER}], got {a!r}")
 
 
 def power_sum(graph: Graph, a: int) -> int:
@@ -70,13 +78,22 @@ def power_sum_edge_form(graph: Graph, a: int) -> int:
     endpoint column at a time.
 
     Equals :func:`power_sum` for the same ``a``: each vertex is hit once per
-    incident edge, collecting deg(v) copies of ``deg(v) ** (a-1)``.
+    incident edge, collecting deg(v) copies of ``deg(v) ** (a-1)``. Past
+    ``_DENSE * n`` edges the ascending first column is summed by runs, as each
+    x's power times its run's length, bisected; else it is summed per edge.
     """
     _check_power(a)
     powered = [d ** (a - 1) for d in graph.degree_vector]
-    if graph.m < 2:  # itemgetter needs an index, and of one gives a bare item
-        return sum(map(powered.__getitem__, graph.us)) + sum(map(powered.__getitem__, graph.vs))
-    return sum(itemgetter(*graph.us)(powered)) + sum(itemgetter(*graph.vs)(powered))
+    n, us, vs = graph.n, graph.us, graph.vs
+    if len(us) < 2:  # itemgetter needs an index, and of one gives a bare item
+        return sum(map(powered.__getitem__, us)) + sum(map(powered.__getitem__, vs))
+    if len(us) > _DENSE * n:
+        # x's edges as first endpoint are us[starts[x]:starts[x + 1]].
+        starts = list(map(bisect_left, repeat(us, n + 1), range(n + 1)))
+        first = sum(map(mul, powered, map(sub, starts[1:], starts)))
+    else:
+        first = sum(itemgetter(*us)(powered))
+    return first + sum(itemgetter(*vs)(powered))
 
 
 def first_zagreb(graph: Graph) -> int:

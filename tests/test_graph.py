@@ -182,6 +182,13 @@ class TestGraph:
     @example(n=3, edges=((0, 2), (0, 1)))  # falls under the same first endpoint
     @example(n=4, edges=((1, 2), (0, 3)))  # a new first endpoint that falls
     @example(n=3, edges=((0, 1), (1, 1)))  # a loop on a new first endpoint
+    # The run counter: a float run start, a float new run, a float new run
+    # whose second endpoint is out of range, one long run, runs of length 1.
+    @example(n=3, edges=((0.0, 1), (0, 2)))
+    @example(n=3, edges=((0, 1), (1.0, 2)))
+    @example(n=3, edges=((0, 1), (1.0, 5)))
+    @example(n=7, edges=((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6)))
+    @example(n=6, edges=((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)))
     def test_validation_matches_reference_loop(self, n, edges):
         try:
             reference_validate(n, edges)

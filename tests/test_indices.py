@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fjoin import (
     ALL_SPECS,
+    DerivedKind,
     Graph,
     GraphError,
     GraphInvariants,
@@ -21,8 +22,10 @@ from fjoin import (
     invariants,
     power_sum,
     power_sum_edge_form,
+    random_graph,
 )
-from fjoin.indices import MAX_POWER
+from fjoin.indices import _DENSE, MAX_POWER
+from fjoin.joins import JoinMode, OperationSpec
 
 from conftest import graphs
 
@@ -91,10 +94,36 @@ def _composites():
 _SMALL = [Graph(0, ()), Graph(3, ()), Graph(2, ((0, 1),)), Graph(4, ((1, 3),)), generate("path", 3)]
 
 
+def _t_edge(n, m):
+    """The T-edge composite of two random n-vertex, m-edge factors."""
+    spec = OperationSpec(DerivedKind.T, JoinMode.EDGE)
+    return f_join(spec, random_graph(n, m, 1), random_graph(n, m, 2)).graph
+
+
+# The edge form sums the first column by runs once m > _DENSE * n: graphs on
+# both sides of that bound and on it. Complete graphs have m = (n - 1) / 2 * n.
+_N = 2 * _DENSE + 8
+_DENSITIES = {
+    "below-bound": random_graph(_N, _DENSE * _N - 1, 1),
+    "at-bound": random_graph(_N, _DENSE * _N, 1),
+    "past-bound": random_graph(_N, _DENSE * _N + 1, 1),
+    "complete-at-bound": generate("complete", 2 * _DENSE + 1),
+    "complete-past-bound": generate("complete", 2 * _DENSE + 2),
+    "sparse-T-edge": _t_edge(12, 40),
+    "dense-T-edge": _t_edge(20, 120),
+}
+
+
+def test_density_graphs_straddle_the_bound():
+    excess = [g.m - _DENSE * g.n for g in _DENSITIES.values()]
+    assert excess[:5] == [-1, 0, 1, 0, _DENSE + 1]
+    assert excess[5] <= 0 < excess[6]
+
+
 @pytest.mark.parametrize(
     "g",
-    [*_SMALL, *_composites()],
-    ids=["empty", "edgeless", "k2", "one-edge", "two-edges", *map(str, ALL_SPECS)],
+    [*_SMALL, *_composites(), *_DENSITIES.values()],
+    ids=["empty", "edgeless", "k2", "one-edge", "two-edges", *map(str, ALL_SPECS), *_DENSITIES],
 )
 def test_edge_form_matches_builtin_reference(g):
     assert_edge_form_matches_reference(g)
@@ -129,7 +158,7 @@ def test_bundle_matches_individual_indices(g):
     assert sum(s**3 for s in sums) == inv.M4 + 3 * inv.ReZM
 
 
-@pytest.mark.parametrize("a", [0, -1, 9])
+@pytest.mark.parametrize("a", [0, -1, 9, 2.5, 3.0, True])
 def test_power_out_of_range(a):
     g = generate("path", 3)
     with pytest.raises(GraphError):
