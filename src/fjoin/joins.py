@@ -65,21 +65,29 @@ def f_join(spec: OperationSpec, g1: Graph, g2: Graph) -> ProvenancedGraph:
     # Canonical order as built: each anchor's left edges, then its cross edges
     # (right ids exceed every left id); then the other left edges and the right
     # edges, shifted. Every anchor's second endpoints are the one right_ids.
+    # One column is built in full and then the other, reusing the first
+    # pass's cuts: two large lists extended in turn cannot grow in place, so
+    # each regrowth would copy them.
     us = []
-    vs = []
+    ends = []
     start = 0
     for anchor in base.ids(block):
         end = bisect_left(left_us, anchor + 1, start)
         us += left_us[start:end]
-        vs += left_vs[start:end]
         us += [anchor] * n2
-        vs += right_ids
+        ends.append(end)
         start = end
     us += left_us[start:]
-    vs += left_vs[start:]
     us += map(offset.__add__, g2.us)
-    vs += map(offset.__add__, g2.vs)
     # Rebound, so that each list is freed once its tuple is made.
     us = tuple(us)
+    vs = []
+    start = 0
+    for end in ends:
+        vs += left_vs[start:end]
+        vs += right_ids
+        start = end
+    vs += left_vs[start:]
+    vs += map(offset.__add__, g2.vs)
     vs = tuple(vs)
     return ProvenancedGraph(Graph._of_columns(offset + n2, us, vs), g1)

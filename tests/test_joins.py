@@ -139,5 +139,13 @@ def test_composites_are_built_in_canonical_order():
 # Q/T links into the last inserted vertex (a star): in vertex mode they come
 # after the last anchor's cross edges.
 @example(Graph(4, ((0, 3), (1, 3), (2, 3))), Graph(2, ()))
+# Order-0 factors: with n1 = 0 the columns walk no cuts; with n2 = 0 every
+# anchor's cross block is empty.
+@example(Graph(0, ()), Graph(2, ((0, 1),)))
+@example(Graph(3, ((0, 1), (1, 2))), Graph(0, ()))
+@example(Graph(0, ()), Graph(0, ()))
 def test_composite_edges_are_the_definition_sorted(spec, g1, g2):
-    assert f_join(spec, g1, g2).graph.edges == definition_sorted(spec, g1, g2)
+    graph = f_join(spec, g1, g2).graph
+    assert graph.edges == definition_sorted(spec, g1, g2)
+    # A list column would compare equal edge by edge but be mutable.
+    assert type(graph.us) is type(graph.vs) is tuple
